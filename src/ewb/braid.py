@@ -41,6 +41,11 @@ class FormatError(ValueError):
         self.line = line
 
 
+def _is_count(field: str) -> bool:
+    """Whether a file field is a plain ASCII decimal number."""
+    return field.isascii() and field.isdigit()
+
+
 class NotClosableError(ValueError):
     """A braid word with odd wen parity on some component cannot be closed."""
 
@@ -50,9 +55,6 @@ class LetterKind(Enum):
     SIGMA_NEG = "S"
     RHO = "r"
     TAU = "t"
-
-
-_KIND_RANK = {k: rank for rank, k in enumerate(LetterKind)}
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,6 @@ class Letter:
 
     def token(self) -> str:
         return f"{self.kind.value}{self.index}"
-
-    def key(self) -> tuple[int, int]:
-        """Fixed total order used for deterministic tie-breaking."""
-        return (self.index, _KIND_RANK[self.kind])
 
 
 def sigma(i: int) -> Letter:
@@ -141,9 +139,6 @@ class BraidWord:
         k %= len(self.letters)
         return BraidWord(self.strands, self.letters[k:] + self.letters[:k])
 
-    def key(self) -> tuple:
-        return (len(self.letters), tuple(l.key() for l in self.letters))
-
     def tokens(self) -> str:
         return " ".join(l.token() for l in self.letters)
 
@@ -183,7 +178,7 @@ def parse_word_file(text: str) -> BraidWord:
     if not lines:
         raise FormatError(1, "empty word file, expected 'strands <n>'")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "strands" or not head[1].isdigit() or int(head[1]) < 1:
+    if len(head) != 2 or head[0] != "strands" or not _is_count(head[1]) or int(head[1]) < 1:
         raise FormatError(1, f"expected 'strands <n>', got {lines[0]!r}")
     if len(lines) > 2:
         raise FormatError(3, "unexpected extra line in word file")
@@ -204,29 +199,9 @@ def format_word_file(b: BraidWord) -> str:
 # generator x_i, -i for its inverse.
 
 
-def _reduce(seq: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for g in seq:
-        if out and out[-1] == -g:
-            out.pop()
-        else:
-            out.append(g)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class FreeWord:
     letters: tuple[int, ...] = ()
-
-    @staticmethod
-    def of(*letters: int) -> FreeWord:
-        return FreeWord(_reduce(letters))
-
-    def __mul__(self, other: FreeWord) -> FreeWord:
-        return FreeWord(_reduce(self.letters + other.letters))
-
-    def inverse(self) -> FreeWord:
-        return FreeWord(tuple(-g for g in reversed(self.letters)))
 
     def conjugate_parts(self) -> tuple[FreeWord, int, int] | None:
         """Split a reduced conjugate ``w x_j^e w^-1`` into (w, j, e), else None."""
@@ -289,10 +264,6 @@ class FreeGroupAutomorphism:
         if len(self.images) != self.rank:
             raise ValueError("image count must equal rank")
 
-    @staticmethod
-    def identity(rank: int) -> FreeGroupAutomorphism:
-        return FreeGroupAutomorphism(rank, tuple(FreeWord((i,)) for i in range(1, rank + 1)))
-
     def apply(self, w: FreeWord) -> FreeWord:
         table = {i + 1: self.images[i].letters for i in range(self.rank)}
         return FreeWord(_substitute(w.letters, table))
@@ -325,24 +296,11 @@ def words_equal(a: BraidWord, b: BraidWord) -> bool:
 # --- combinatorial strand data -------------------------------------------
 
 
-def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
-    """Position each strand ends at: entry ``s-1`` is the bottom position of
-    the strand starting at top position ``s``."""
+def _strand_walk(b: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The underlying permutation and the wens met by each strand, in one
+    walk: ``tau_i`` marks whichever strand occupies position ``i`` at that
+    point of the word."""
     occupant = list(range(b.strands + 1))  # occupant[pos] = strand, 1-based
-    for let in b.letters:
-        if let.kind is not LetterKind.TAU:
-            i = let.index
-            occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
-    final = [0] * b.strands
-    for pos in range(1, b.strands + 1):
-        final[occupant[pos] - 1] = pos
-    return tuple(final)
-
-
-def strand_wen_counts(b: BraidWord) -> tuple[int, ...]:
-    """Wens met by each strand: ``tau_i`` marks whichever strand occupies
-    position ``i`` at that point of the word."""
-    occupant = list(range(b.strands + 1))
     counts = [0] * (b.strands + 1)
     for let in b.letters:
         if let.kind is LetterKind.TAU:
@@ -350,16 +308,24 @@ def strand_wen_counts(b: BraidWord) -> tuple[int, ...]:
         else:
             i = let.index
             occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
-    return tuple(counts[1:])
+    final = [0] * b.strands
+    for pos in range(1, b.strands + 1):
+        final[occupant[pos] - 1] = pos
+    return tuple(final), tuple(counts[1:])
 
 
-def permutation_cycles(b: BraidWord) -> list[tuple[int, ...]]:
-    """Cycles of the underlying permutation, each listed from its smallest
-    strand, ordered by that smallest strand."""
-    perm = underlying_permutation(b)
-    seen = [False] * (b.strands + 1)
+def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
+    """Position each strand ends at: entry ``s-1`` is the bottom position of
+    the strand starting at top position ``s``."""
+    return _strand_walk(b)[0]
+
+
+def _cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cycles of ``perm`` (1-based images), each listed from its smallest
+    element, ordered by that smallest element."""
+    seen = [False] * (len(perm) + 1)
     cycles = []
-    for start in range(1, b.strands + 1):
+    for start in range(1, len(perm) + 1):
         if seen[start]:
             continue
         cycle = [start]
@@ -373,20 +339,21 @@ def permutation_cycles(b: BraidWord) -> list[tuple[int, ...]]:
     return cycles
 
 
+def permutation_cycles(b: BraidWord) -> list[tuple[int, ...]]:
+    """Cycles of the underlying permutation, each listed from its smallest
+    strand, ordered by that smallest strand."""
+    return _cycles(underlying_permutation(b))
+
+
 def wen_parity(b: BraidWord) -> tuple[int, ...]:
     """Mod-2 wen count of each closure component (one per permutation cycle)."""
-    counts = strand_wen_counts(b)
-    return tuple(sum(counts[s - 1] for s in cyc) % 2 for cyc in permutation_cycles(b))
+    perm, counts = _strand_walk(b)
+    return tuple(sum(counts[s - 1] for s in cyc) % 2 for cyc in _cycles(perm))
 
 
 def closable(b: BraidWord) -> bool:
     """Whether every closure component carries an even number of wens."""
     return all(p == 0 for p in wen_parity(b))
-
-
-def sigma_exponent_parity(b: BraidWord) -> int:
-    """Total sigma exponent mod 2; invariant under the defining relations."""
-    return sum(1 for l in b.letters if l.is_sigma) % 2
 
 
 # --- the defining relation suite ------------------------------------------

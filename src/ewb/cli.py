@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from pathlib import Path
 
@@ -29,20 +28,13 @@ from .braid import (
     BraidWord,
     FormatError,
     NotClosableError,
-    closable,
-    compose,
     format_word_file,
     parse_word_file,
-    rho,
-    sigma,
-    sigma_inv,
-    tau,
     verify_relations,
     words_equal,
 )
 from .closure import braid_from_gauss, closure
 from .gauss import (
-    GaussData,
     components,
     eliminate_wens,
     format_gauss_file,
@@ -53,7 +45,6 @@ from .gauss import (
     validate,
 )
 from .markov import (
-    apply_move,
     format_witness,
     linking_invariant,
     markov_search,
@@ -62,7 +53,6 @@ from .markov import (
     replay_witness,
     sign_profile,
     sign_reversal_word,
-    wen_row,
     MoveWitness,
 )
 
@@ -78,30 +68,19 @@ def _read(path: str) -> str:
         raise _InputError(str(exc)) from exc
 
 
-def _load_word(path: str) -> BraidWord:
+def _load(path: str, parse):
+    """Read ``path`` and parse it; a format error names the file."""
     try:
-        return parse_word_file(_read(path))
+        return parse(_read(path))
     except FormatError as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _load_gauss(path: str) -> GaussData:
-    try:
-        return parse_gauss_file(_read(path))
-    except FormatError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-
-
-def _sniff(path: str):
+def _parse_word_or_gauss(text: str):
     """A word file starts with a ``strands`` header; anything else is Gauss data."""
-    text = _read(path)
-    stripped = text.lstrip()
-    try:
-        if stripped.startswith("strands"):
-            return parse_word_file(text)
-        return parse_gauss_file(text)
-    except FormatError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
+    if text.lstrip().startswith("strands"):
+        return parse_word_file(text)
+    return parse_gauss_file(text)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -115,19 +94,19 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_close(args) -> int:
-    g = closure(_load_word(args.input))
+    g = closure(_load(args.input, parse_word_file))
     _emit(format_gauss_file(g), args.output)
     return 0
 
 
 def _cmd_braid(args) -> int:
-    b = braid_from_gauss(_load_gauss(args.input))
+    b = braid_from_gauss(_load(args.input, parse_gauss_file))
     _emit(format_word_file(b), args.output)
     return 0
 
 
 def _cmd_gauss_validate(args) -> int:
-    message = validate(_load_gauss(args.input))
+    message = validate(_load(args.input, parse_gauss_file))
     if message is None:
         print("valid=true" if args.format == "machine" else "valid")
         return 0
@@ -140,7 +119,7 @@ def _cmd_gauss_validate(args) -> int:
 
 
 def _cmd_eq_word(args) -> int:
-    a, b = _load_word(args.a), _load_word(args.b)
+    a, b = _load(args.a, parse_word_file), _load(args.b, parse_word_file)
     equal = a.strands == b.strands and words_equal(a, b)
     if args.format == "machine":
         print(f"equal={'true' if equal else 'false'}")
@@ -150,7 +129,7 @@ def _cmd_eq_word(args) -> int:
 
 
 def _cmd_eq_gauss(args) -> int:
-    iso = same_gauss_data(_load_gauss(args.a), _load_gauss(args.b))
+    iso = same_gauss_data(_load(args.a, parse_gauss_file), _load(args.b, parse_gauss_file))
     if iso is None:
         print("isomorphic=false" if args.format == "machine" else "not isomorphic")
         return 1
@@ -164,22 +143,22 @@ def _cmd_eq_gauss(args) -> int:
 
 
 def _cmd_signrev_word(args) -> int:
-    _emit(format_word_file(sign_reversal_word(_load_word(args.input))), args.output)
+    _emit(format_word_file(sign_reversal_word(_load(args.input, parse_word_file))), args.output)
     return 0
 
 
 def _cmd_signrev_gauss(args) -> int:
-    _emit(format_gauss_file(sign_reversal(_load_gauss(args.input))), args.output)
+    _emit(format_gauss_file(sign_reversal(_load(args.input, parse_gauss_file))), args.output)
     return 0
 
 
 def _cmd_mirror(args) -> int:
-    _emit(format_word_file(mirror_word(_load_word(args.input))), args.output)
+    _emit(format_word_file(mirror_word(_load(args.input, parse_word_file))), args.output)
     return 0
 
 
 def _cmd_eliminate_wens(args) -> int:
-    result = eliminate_wens(_load_gauss(args.input))
+    result = eliminate_wens(_load(args.input, parse_gauss_file))
     _emit(format_gauss_file(result.data), args.output)
     if args.output is not None:
         flipped = ",".join(sorted(result.flipped))
@@ -192,12 +171,12 @@ def _cmd_eliminate_wens(args) -> int:
 
 
 def _cmd_reduce_kinks(args) -> int:
-    _emit(format_gauss_file(reduce_kinks(_load_gauss(args.input))), args.output)
+    _emit(format_gauss_file(reduce_kinks(_load(args.input, parse_gauss_file))), args.output)
     return 0
 
 
 def _cmd_invariants(args) -> int:
-    data = _sniff(args.input)
+    data = _load(args.input, _parse_word_or_gauss)
     g = closure(data) if isinstance(data, BraidWord) else data
     message = validate(g)
     if message is not None:
@@ -231,7 +210,7 @@ def _default_budget() -> int:
 
 
 def _cmd_markov(args) -> int:
-    a, b = _load_word(args.a), _load_word(args.b)
+    a, b = _load(args.a, parse_word_file), _load(args.b, parse_word_file)
     budget = args.budget if args.budget is not None else _default_budget()
     witness = markov_search(
         a, b, max_degree=args.max_degree, max_length=args.max_length, budget=budget
@@ -260,16 +239,13 @@ def _cmd_markov(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    start = _load_word(args.word)
-    try:
-        moves = parse_witness(_read(args.witness), start)
-    except FormatError as exc:
-        raise _InputError(f"{args.witness}: {exc}") from exc
+    start = _load(args.word, parse_word_file)
+    moves = _load(args.witness, lambda text: parse_witness(text, start))
     result = replay_witness(MoveWitness(start, moves, start))
     if args.target is None:
         _emit(format_word_file(result), args.output)
         return 0
-    target = _load_word(args.target)
+    target = _load(args.target, parse_word_file)
     equal = result.strands == target.strands and words_equal(result, target)
     if args.format == "machine":
         print(f"equal={'true' if equal else 'false'}")
@@ -281,56 +257,16 @@ def _cmd_replay(args) -> int:
 
 def _cmd_verify_relations(args) -> int:
     checked, failures = verify_relations(args.n)
-    selftests = selftest_failures = 0
-    if args.seed is not None:
-        selftests, selftest_failures = _seeded_selftests(args.seed)
-    ok = not failures and selftest_failures == 0
     if args.format == "machine":
         print(f"checked={checked}")
         print(f"failures={len(failures)}")
-        if args.seed is not None:
-            print(f"selftests={selftests}")
-            print(f"selftest_failures={selftest_failures}")
+    elif not failures:
+        print(f"all relation instances verified ({checked} instances, n <= {args.n})")
     else:
-        if ok:
-            print(f"all relation instances verified ({checked} instances, n <= {args.n})")
-        else:
-            for label in failures:
-                print(f"FAILED: {label}")
-            print(f"{len(failures)} of {checked} relation instances failed")
-        if args.seed is not None:
-            print(f"seeded self-tests: {selftests - selftest_failures} / {selftests} passed")
-    return 0 if ok else 1
-
-
-def _seeded_selftests(seed: int, count: int = 50) -> tuple[int, int]:
-    """Random spot checks: the wen-row conjugation identity and the braiding
-    round trip, both exercised end to end."""
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(count):
-        n = rng.randint(2, 5)
-        letters = []
-        for _ in range(rng.randint(0, 10)):
-            kind = rng.randrange(4)
-            if kind == 0:
-                letters.append(sigma(rng.randint(1, n - 1)))
-            elif kind == 1:
-                letters.append(sigma_inv(rng.randint(1, n - 1)))
-            elif kind == 2:
-                letters.append(rho(rng.randint(1, n - 1)))
-            else:
-                letters.append(tau(rng.randint(1, n)))
-        w = BraidWord(n, tuple(letters))
-        delta = wen_row(n)
-        if not words_equal(sign_reversal_word(w), compose(compose(delta, w), delta)):
-            failures += 1
-            continue
-        if closable(w):
-            g = closure(w)
-            if same_gauss_data(closure(braid_from_gauss(g)), g) is None:
-                failures += 1
-    return count, failures
+        for label in failures:
+            print(f"FAILED: {label}")
+        print(f"{len(failures)} of {checked} relation instances failed")
+    return 1 if failures else 0
 
 
 # --- parser -----------------------------------------------------------------
@@ -372,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("mirror", _cmd_mirror, "mirror image of a word", io=True, fmt=False)
     add("eliminate-wens", _cmd_eliminate_wens, "slide and cancel all wen marks", io=True)
     add("reduce-kinks", _cmd_reduce_kinks, "remove unbarred kink crossings", io=True, fmt=False)
-    p = add("invariants", _cmd_invariants, "component count, sign profile, linking matrix")
+    p = add("invariants", _cmd_invariants,
+            "component count, linking matrix, and the sign profile (not a Markov invariant)")
     p.add_argument("--input", required=True, help="word or Gauss data file")
     p = add("markov", _cmd_markov, "search for a Markov move chain between two words",
             pair=(("a", "word file"), ("b", "word file")))
@@ -386,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the resulting word here instead of stdout")
     p = add("verify-relations", _cmd_verify_relations, "check every relation instance")
     p.add_argument("--n", type=int, default=6, help="largest strand count to check")
-    p.add_argument("--seed", type=int, help="also run seeded random self-tests")
     return parser
 
 
@@ -398,16 +334,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotClosableError as exc:
         print(f"not closable: {exc}", file=sys.stderr)
         return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,14 +24,13 @@ from .braid import (
     Letter,
     LetterKind,
     NotClosableError,
-    closable,
+    _cycles,
     rho,
     sigma,
     sigma_inv,
     tau,
-    wen_parity,
 )
-from .gauss import Arc, Endpoint, GaussData, Passage, validate
+from .gauss import Arc, Endpoint, GaussData, Passage, _require_valid
 
 
 @dataclass(frozen=True)
@@ -89,53 +88,32 @@ def closure_trace(b: BraidWord) -> ClosureTrace:
 
 def closure(b: BraidWord) -> GaussData:
     """Gauss data of the closed-up word; requires even wens per component."""
-    if not closable(b):
-        k = next(i for i, p in enumerate(wen_parity(b), start=1) if p)
-        raise NotClosableError(f"component {k} has odd wen parity")
     trace = closure_trace(b)
-    paths = {p.start: p for p in trace.paths}
-    perm = trace.permutation
-    signs = {}
-    crossing = 0
-    for let in b.letters:
-        if let.is_sigma:
-            crossing += 1
-            signs[str(crossing)] = let.sign
     arcs = []
-    for path in trace.paths:
-        for k in range(len(path.passages) - 1):
-            cid, _, out = path.passages[k]
-            nid, inn, _ = path.passages[k + 1]
-            arcs.append(Arc(Endpoint(cid, out), Endpoint(nid, inn), path.wens[k + 1] % 2))
     loops = 0
-    seen_free: set[int] = set()
-    for path in trace.paths:
-        if not path.passages:
-            # Free strands either chain into some crossing-met strand's arc
-            # (handled below) or close among themselves into loops.
-            if path.start in seen_free:
-                continue
-            s = path.start
-            chain = []
-            while True:
-                chain.append(s)
-                s = perm[s - 1]
-                if paths[s].passages or s == path.start:
-                    break
-            if s == path.start and not paths[s].passages:
-                seen_free.update(chain)
-                loops += 1
+    for k, cycle in enumerate(_cycles(trace.permutation), start=1):
+        # The component runs through its strands in cycle order; gaps[j]
+        # counts the wens just before passages[j], and gaps[0] also takes the
+        # wens after the last passage, where the closure joins them up.
+        passages: list[Passage] = []
+        gaps = [0]
+        for s in cycle:
+            path = trace.paths[s - 1]
+            gaps[-1] += path.wens[0]
+            gaps.extend(path.wens[1:])
+            passages.extend(path.passages)
+        if sum(gaps) % 2:
+            raise NotClosableError(f"component {k} has odd wen parity")
+        if not passages:
+            loops += 1
             continue
-        parity = path.wens[-1]
-        t = perm[path.start - 1]
-        while not paths[t].passages:
-            parity += paths[t].wens[0]
-            t = perm[t - 1]
-        cid, _, out = path.passages[-1]
-        nid, inn, _ = paths[t].passages[0]
-        arcs.append(
-            Arc(Endpoint(cid, out), Endpoint(nid, inn), (parity + paths[t].wens[0]) % 2)
-        )
+        gaps[0] += gaps.pop()
+        for j, (cid, _, out) in enumerate(passages):
+            nxt = (j + 1) % len(passages)
+            nid, inn, _ = passages[nxt]
+            arcs.append(Arc(Endpoint(cid, out), Endpoint(nid, inn), gaps[nxt] % 2))
+    sigmas = (let for let in b.letters if let.is_sigma)
+    signs = {str(c): let.sign for c, let in enumerate(sigmas, start=1)}
     return GaussData.make(signs, arcs, loops)
 
 
@@ -147,9 +125,7 @@ def braid_from_gauss(g: GaussData) -> BraidWord:
     each outgoing corner's strand to the position whose closure re-enters
     where its arc points, and each barred arc contributes one wen there.
     """
-    problem = validate(g)
-    if problem is not None:
-        raise ValueError(problem)
+    _require_valid(g)
     ids = g.crossing_ids()
     m = len(ids)
     degree = 2 * m + g.loops

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .braid import FormatError
+from .braid import FormatError, _is_count
 
 # A passage through a crossing, written (crossing id, in slot, out slot).
 # The only two passages of a crossing are (c, 1, 3) and (c, 2, 4).
@@ -466,7 +466,7 @@ def parse_gauss_file(text: str) -> GaussData:
             continue
         fields = line.split()
         if fields[0] == "crossing":
-            if len(fields) != 3 or not _ID_OK(fields[1]) or fields[2] not in "+-":
+            if len(fields) != 3 or not _ID_OK(fields[1]) or fields[2] not in ("+", "-"):
                 raise FormatError(lineno, f"expected 'crossing <id> <+|->', got {line!r}")
             if fields[1] in signs:
                 raise FormatError(lineno, f"duplicate crossing {fields[1]}")
@@ -479,14 +479,19 @@ def parse_gauss_file(text: str) -> GaussData:
                 (sc, ss), (tc, ts) = src.rsplit(".", 1), tgt.rsplit(".", 1)
             except ValueError:
                 raise FormatError(lineno, f"endpoints must look like <id>.<slot>") from None
-            if not (_ID_OK(sc) and _ID_OK(tc)) or ss not in "34" or ts not in "12" or bar not in "01":
+            if (
+                not (_ID_OK(sc) and _ID_OK(tc))
+                or ss not in ("3", "4")
+                or ts not in ("1", "2")
+                or bar not in ("0", "1")
+            ):
                 raise FormatError(lineno, f"bad arc declaration {line!r}")
             entry = (lineno, sc, int(ss), tc, int(ts), int(bar))
             if any(e[1:5] == entry[1:5] for e in arc_lines):
                 raise FormatError(lineno, f"duplicate arc {src} -> {tgt}")
             arc_lines.append(entry)
         elif fields[0] == "loops":
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not _is_count(fields[1]):
                 raise FormatError(lineno, f"expected 'loops <k>', got {line!r}")
             if loops is not None:
                 raise FormatError(lineno, "duplicate loops declaration")

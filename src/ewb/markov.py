@@ -36,6 +36,7 @@ from .braid import (
     FormatError,
     Letter,
     LetterKind,
+    _is_count,
     parse_word,
     rho,
     sigma,
@@ -44,7 +45,7 @@ from .braid import (
     to_automorphism,
     words_equal,
 )
-from .gauss import GaussData, components, eliminate_wens, validate
+from .gauss import GaussData, components, eliminate_wens
 
 MOVE_KINDS = ("m0", "m1", "m2+", "m2-", "m2w", "m2d")
 
@@ -174,7 +175,7 @@ def parse_witness(text: str, start: BraidWord) -> tuple[MarkovMove, ...]:
             continue
         head = parts[0]
         if head == "m1":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_count(parts[1]):
                 raise FormatError(lineno, "m1 takes one non-negative shift count")
             move = MarkovMove("m1", shift=int(parts[1]))
         elif head in ("m2+", "m2-", "m2w", "m2d"):
@@ -243,6 +244,29 @@ def mirror_word(b: BraidWord) -> BraidWord:
 # --- closure invariants ------------------------------------------------------
 
 
+def _normal_form(
+    g: GaussData, name: str
+) -> tuple[GaussData, int, dict[str, int], dict[str, int]]:
+    """Wen-free form of ``g``, its number of passage cycles, and the cycle
+    running over and the one running under at each crossing.
+
+    At most 6 link components are supported; ``name`` labels the error.
+    """
+    norm = eliminate_wens(g).data
+    comps = components(norm)
+    if len(comps) + norm.loops > 6:
+        raise ValueError(f"{name} canonicalization supports at most 6 components")
+    over: dict[str, int] = {}
+    under: dict[str, int] = {}
+    for ci, cycle in enumerate(comps):
+        for cid, in_slot, _out_slot in cycle:
+            if in_slot == 2:
+                over[cid] = ci
+            else:
+                under[cid] = ci
+    return norm, len(comps), over, under
+
+
 def sign_profile(g: GaussData) -> tuple[int, ...]:
     """Canonical crossing-sign multiset of a closed diagram.
 
@@ -250,22 +274,13 @@ def sign_profile(g: GaussData) -> tuple[int, ...]:
     full-loop slides (pairing the bars the other way around a component
     negates the complementary over-passages), so the sorted sign tuple is
     minimized over all subsets of full-loop slides.  The result is constant
-    across words equal in the group.
+    across words equal in the group and under conjugation, but it is not a
+    Markov invariant: the stabilizations ``m2+`` and ``m2-`` each add a
+    crossing.
     """
-    message = validate(g)
-    if message is not None:
-        raise ValueError(message)
-    norm = eliminate_wens(g).data
-    comps = components(norm)
-    if len(comps) + norm.loops > 6:
-        raise ValueError("sign canonicalization supports at most 6 components")
-    over: dict[str, int] = {}
-    for ci, cycle in enumerate(comps):
-        for cid, in_slot, _out_slot in cycle:
-            if in_slot == 2:
-                over[cid] = ci
+    norm, cycles, over, _ = _normal_form(g, "sign")
     best: tuple[int, ...] | None = None
-    for mask in range(1 << len(comps)):
+    for mask in range(1 << cycles):
         signs = tuple(
             sorted(-s if (mask >> over[cid]) & 1 else s for cid, s in norm.crossings)
         )
@@ -286,24 +301,10 @@ def linking_invariant(g: GaussData) -> tuple[tuple[int, ...], ...]:
     combined with per-row negations, which makes it invariant under component
     renumbering, full-loop slides, and sign reversal.
     """
-    message = validate(g)
-    if message is not None:
-        raise ValueError(message)
-    norm = eliminate_wens(g).data
-    comps = components(norm)
-    mu = len(comps) + norm.loops
-    if mu > 6:
-        raise ValueError("linking canonicalization supports at most 6 components")
+    norm, cycles, over, under = _normal_form(g, "linking")
+    mu = cycles + norm.loops
     if mu == 0:
         return ()
-    over: dict[str, int] = {}
-    under: dict[str, int] = {}
-    for ci, cycle in enumerate(comps):
-        for cid, in_slot, _out_slot in cycle:
-            if in_slot == 2:
-                over[cid] = ci
-            else:
-                under[cid] = ci
     matrix = [[0] * mu for _ in range(mu)]
     for cid, sign in norm.crossings:
         i, j = over[cid], under[cid]

@@ -92,9 +92,10 @@ class TestWordFiles:
         with pytest.raises(FormatError) as err:
             parse_word_file("")
         assert err.value.line == 1
-        with pytest.raises(FormatError) as err:
-            parse_word_file("strands 0\n")
-        assert err.value.line == 1
+        for header in ("strands 0\n", "strands \u00b2\n", "strands \u0663\ns1\n"):
+            with pytest.raises(FormatError) as err:
+                parse_word_file(header)
+            assert err.value.line == 1
         with pytest.raises(FormatError) as err:
             parse_word_file("strands 2\ns1 q7\n")
         assert err.value.line == 2

@@ -263,10 +263,6 @@ class TestRelationsVerb:
         code, out, _ = run(capsys, "verify-relations", "--n", "3", "--format", "machine")
         assert (code, out) == (0, "checked=28\nfailures=0\n")
 
-    def test_seeded_self_tests(self, capsys):
-        code, out, _ = run(capsys, "verify-relations", "--n", "3", "--seed", "11")
-        assert code == 0 and "self-tests" in out
-
 
 class TestTopLevelErrors:
     def test_missing_file(self, capsys):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import braid_words, random_closable_word
 from ewb import (
@@ -13,12 +13,16 @@ from ewb import (
     closable,
     closure,
     closure_trace,
+    components,
     parse_gauss_file,
+    permutation_cycles,
     rho,
     same_gauss_data,
     sigma,
     sigma_inv,
     tau,
+    validate,
+    wen_parity,
     word,
 )
 
@@ -62,6 +66,24 @@ class TestClosure:
     def test_crossings_are_numbered_in_word_order(self):
         g = closure(word(2, sigma(1), sigma_inv(1), sigma(1)))
         assert g.crossings == (("1", 1), ("2", -1), ("3", 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(braid_words(max_strands=6, max_length=16))
+    @example(word(1))
+    @example(word(1, tau(1), tau(1), tau(1)))
+    @example(word(4, rho(1), rho(3), tau(2), tau(4)))
+    @example(word(4, rho(2), sigma(3), tau(1), tau(3)))
+    def test_agrees_with_the_strand_data(self, w):
+        parity = wen_parity(w)
+        if not closable(w):
+            k = parity.index(1) + 1
+            with pytest.raises(NotClosableError, match=f"^component {k} has odd wen parity$"):
+                closure(w)
+            return
+        g = closure(w)
+        assert validate(g) is None
+        assert len(components(g)) + g.loops == len(permutation_cycles(w))
+        assert len(g.crossings) == sum(let.is_sigma for let in w.letters)
 
 
 class TestClosureTrace:

@@ -128,6 +128,19 @@ class TestFiles:
         with pytest.raises(FormatError) as err:
             parse_gauss_file("crossing c1 +\narc c1.3 c1.1 0\narc c1.3 c1.1 1\nloops 0\n")
         assert err.value.line == 3
+        # every field is checked as a whole token of ASCII characters
+        for text, line in (
+            ("crossing c1 +-\n", 1),
+            ("crossing c1 +\narc c1.3 c1.2 01\narc c1.4 c1.1 0\n", 2),
+            ("crossing c1 +\narc c1.34 c1.2 0\n", 2),
+            ("crossing c1 +\narc c1. c1.2 0\n", 2),
+            ("crossing c1 +\narc c1.3 c1.12 0\n", 2),
+            ("loops \u00b2\n", 1),
+            ("loops \u0663\n", 1),
+        ):
+            with pytest.raises(FormatError) as err:
+                parse_gauss_file(text)
+            assert err.value.line == line
         # an endpoint used twice parses but fails validation
         shared = parse_gauss_file(
             "crossing c1 +\narc c1.3 c1.1 0\narc c1.3 c1.2 0\nloops 0\n"

@@ -167,9 +167,10 @@ class TestWitnessText:
         with pytest.raises(FormatError, match="unknown move 'flip'") as info:
             parse_witness("m2+\nflip\n", start)
         assert info.value.line == 2
-        with pytest.raises(FormatError, match="shift count") as info:
-            parse_witness("m1 x\n", start)
-        assert info.value.line == 1
+        for shift in ("x", "\u00b2"):
+            with pytest.raises(FormatError, match="shift count") as info:
+                parse_witness(f"m1 {shift}\n", start)
+            assert info.value.line == 1
         with pytest.raises(FormatError, match="no arguments") as info:
             parse_witness("m2+ 3\n", start)
         assert info.value.line == 1
