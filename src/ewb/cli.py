@@ -35,7 +35,6 @@ from .braid import (
 )
 from .closure import braid_from_gauss, closure
 from .gauss import (
-    components,
     eliminate_wens,
     format_gauss_file,
     parse_gauss_file,
@@ -46,14 +45,15 @@ from .gauss import (
 )
 from .markov import (
     format_witness,
-    linking_invariant,
     markov_search,
     mirror_word,
     parse_witness,
     replay_witness,
-    sign_profile,
     sign_reversal_word,
     MoveWitness,
+    _linking_from,
+    _normal_form,
+    _signs_from,
 )
 
 
@@ -181,9 +181,10 @@ def _cmd_invariants(args) -> int:
     message = validate(g)
     if message is not None:
         raise _InputError(f"{args.input}: {message}")
-    mu = len(components(g)) + g.loops
-    signs = sign_profile(g)
-    linking = linking_invariant(g)
+    nf = _normal_form(g)  # shared by both invariants
+    mu = nf.cycles + g.loops
+    signs = _signs_from(nf)
+    linking = _linking_from(nf)
     if args.format == "machine":
         print(f"components={mu}")
         print(f"loops={g.loops}")

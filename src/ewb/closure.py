@@ -120,40 +120,38 @@ def closure(b: BraidWord) -> GaussData:
 def braid_from_gauss(g: GaussData) -> BraidWord:
     """A braid word on ``2m + loops`` strands whose closure has data ``g``.
 
-    Crossing ``k`` (in id order) is realised by one sigma letter of its sign
-    on strands ``2k-1, 2k``; below the crossing row, welded crossings sort
-    each outgoing corner's strand to the position whose closure re-enters
-    where its arc points, and each barred arc contributes one wen there.
+    Crossing ``k`` (in field order) is realised by one sigma letter of its
+    sign on strands ``2k-1, 2k``; below the crossing row, welded crossings
+    sort each outgoing corner's strand to the position whose closure
+    re-enters where its arc points, and each barred arc contributes one wen
+    there.  The cost is linear in the size of the data and of the word.
     """
-    _require_valid(g)
-    ids = g.crossing_ids()
-    m = len(ids)
-    degree = 2 * m + g.loops
+    ix, _ = _require_valid(g)
+    degree = 2 * len(g.crossings) + g.loops
     letters: list[Letter] = []
-    exit_pos: dict[Endpoint, int] = {}
-    entry_pos: dict[Endpoint, int] = {}
-    for k, cid in enumerate(ids, start=1):
-        low, high = 2 * k - 1, 2 * k
-        if g.sign_of(cid) > 0:
+    # entry[p]: position, in the crossing row, of the corner where passage
+    # p comes in; it leaves through the corner where p ^ 1 comes in.
+    entry = [0] * len(ix.succ)
+    for k, (cid, sign) in enumerate(g.crossings):
+        p, low = 2 * ix.pos[cid], 2 * k + 1
+        if sign > 0:
             letters.append(sigma(low))
-            exit_pos[Endpoint(cid, 3)], exit_pos[Endpoint(cid, 4)] = high, low
-            entry_pos[Endpoint(cid, 1)], entry_pos[Endpoint(cid, 2)] = low, high
+            entry[p], entry[p + 1] = low, low + 1
         else:
             letters.append(sigma_inv(low))
-            exit_pos[Endpoint(cid, 3)], exit_pos[Endpoint(cid, 4)] = low, high
-            entry_pos[Endpoint(cid, 1)], entry_pos[Endpoint(cid, 2)] = high, low
-    routing = {p: p for p in range(1, degree + 1)}
-    for arc in g.arcs:
-        routing[exit_pos[arc.source]] = entry_pos[arc.target]
-    inverse = {q: p for p, q in routing.items()}
+            entry[p], entry[p + 1] = low + 1, low
+    inverse = list(range(degree + 1))  # inverse[q]: strand routed to position q
+    for p, q in enumerate(ix.succ):
+        inverse[entry[q]] = entry[p ^ 1]
     occ = list(range(degree + 1))  # occ[pos] = strand below the crossing row
+    where = list(range(degree + 1))  # where[strand] = pos
+    rhos = [rho(i) for i in range(1, degree)]
     for q in range(1, degree + 1):
-        j = occ.index(inverse[q])
-        while j > q:
-            occ[j - 1], occ[j] = occ[j], occ[j - 1]
-            letters.append(rho(j - 1))
-            j -= 1
-    for arc in sorted(g.arcs, key=lambda a: entry_pos[a.target]):
-        if arc.bar:
-            letters.append(tau(entry_pos[arc.target]))
+        strand = inverse[q]
+        for j in range(where[strand], q, -1):
+            occ[j] = occ[j - 1]
+            where[occ[j]] = j
+            letters.append(rhos[j - 2])
+        occ[q], where[strand] = strand, q
+    letters.extend(tau(q) for q in sorted(entry[q] for p, q in enumerate(ix.succ) if ix.bar[p]))
     return BraidWord(degree, tuple(letters))

@@ -109,35 +109,93 @@ class GaussData:
         ordered = tuple(sorted(signs.items(), key=lambda it: _id_key(it[0])))
         return GaussData(ordered, arcs, loops)
 
-    def sign_of(self, cid: str) -> int:
-        for c, sign in self.crossings:
-            if c == cid:
-                return sign
-        raise KeyError(cid)
-
     def crossing_ids(self) -> list[str]:
         return [c for c, _ in self.crossings]
 
 
-def _arc_maps(g: GaussData) -> tuple[dict[Endpoint, Arc], dict[Endpoint, Arc]]:
-    """Unique arc per endpoint; raises on duplicate or dangling endpoints."""
-    by_source: dict[Endpoint, Arc] = {}
-    by_target: dict[Endpoint, Arc] = {}
-    for arc in g.arcs:
-        if arc.source in by_source:
-            raise ValueError(f"duplicate arc at endpoint {arc.source}")
-        if arc.target in by_target:
-            raise ValueError(f"duplicate arc at endpoint {arc.target}")
-        by_source[arc.source] = arc
-        by_target[arc.target] = arc
-    for cid, _ in g.crossings:
-        for slot in (3, 4):
-            if Endpoint(cid, slot) not in by_source:
-                raise ValueError(f"dangling endpoint {cid}.{slot}")
-        for slot in (1, 2):
-            if Endpoint(cid, slot) not in by_target:
-                raise ValueError(f"dangling endpoint {cid}.{slot}")
-    return by_source, by_target
+class _Index:
+    """Passage-indexed view of one ``GaussData``, built once per operation.
+
+    Crossings are numbered in id order.  Passage ``2i`` is the
+    under-passage (slots 1 -> 3) of crossing ``i`` and ``2i + 1`` its
+    over-passage (slots 2 -> 4), so ``p & 1`` tells over from under and
+    ``p ^ 1`` is the other passage of the same crossing.  ``succ[p]`` is
+    the passage that the arc leaving ``p`` enters and ``pred`` is its
+    inverse; ``bar[p]`` and ``out[p]`` are that arc's wen parity and the
+    arc itself.  Building raises ``ValueError`` on the first duplicate
+    endpoint (in arc order) or dangling endpoint (in crossing order).
+    """
+
+    __slots__ = ("ids", "pos", "signs", "succ", "pred", "bar", "out")
+
+    def __init__(self, g: GaussData) -> None:
+        sign = dict(g.crossings)
+        self.ids = ids = sorted(sign, key=_id_key)
+        self.pos = pos = {c: i for i, c in enumerate(ids)}
+        self.signs = [sign[c] for c in ids]
+        n = 2 * len(ids)
+        self.succ = succ = [-1] * n
+        self.pred = pred = [-1] * n
+        self.bar = bar = [0] * n
+        self.out = out = [None] * n
+        for arc in g.arcs:
+            src, tgt = arc.source, arc.target
+            try:
+                s = 2 * pos[src.crossing] + src.slot - 3
+                t = 2 * pos[tgt.crossing] + tgt.slot - 1
+            except KeyError:
+                end = src if src.crossing not in pos else tgt
+                raise ValueError(f"arc endpoint {end} references unknown crossing") from None
+            if succ[s] >= 0:
+                raise ValueError(f"duplicate arc at endpoint {src}")
+            if pred[t] >= 0:
+                raise ValueError(f"duplicate arc at endpoint {tgt}")
+            succ[s], pred[t], bar[s], out[s] = t, s, arc.bar, arc
+        if -1 in succ or -1 in pred:
+            for cid, _ in g.crossings:
+                p = 2 * pos[cid]
+                for slot, missing in ((3, succ[p]), (4, succ[p + 1]), (1, pred[p]), (2, pred[p + 1])):
+                    if missing < 0:
+                        raise ValueError(f"dangling endpoint {cid}.{slot}")
+
+    def cycles(self) -> list[list[int]]:
+        """Passage cycles, each from its smallest passage, ordered by those."""
+        succ = self.succ
+        seen = [False] * len(succ)
+        cycles = []
+        for start in range(len(succ)):
+            if seen[start]:
+                continue
+            cycle = []
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                cycle.append(p)
+                p = succ[p]
+            cycles.append(cycle)
+        return cycles
+
+    def passage(self, p: int) -> Passage:
+        return (self.ids[p >> 1], 1 + (p & 1), 3 + (p & 1))
+
+
+def _odd_cycle(ix: _Index, cycles: list[list[int]]) -> str | None:
+    bar = ix.bar
+    for k, cycle in enumerate(cycles, start=1):
+        if sum([bar[p] for p in cycle]) % 2:
+            return f"odd wen parity on component {k}"
+    return None
+
+
+def _require_valid(g: GaussData) -> tuple[_Index, list[list[int]]]:
+    """The index of valid data and its passage cycles; raises ``ValueError``
+    with the ``validate`` message otherwise."""
+    ix = _Index(g)
+    cycles = ix.cycles()
+    problem = _odd_cycle(ix, cycles)
+    if problem is not None:
+        raise ValueError(problem)
+    return ix, cycles
 
 
 def components(g: GaussData) -> list[tuple[Passage, ...]]:
@@ -147,50 +205,27 @@ def components(g: GaussData) -> list[tuple[Passage, ...]]:
     by those starts.  Crossing-free loops do not appear; they contribute
     ``g.loops`` extra components.
     """
-    by_source, _ = _arc_maps(g)
-    starts = sorted(
-        ((cid, s, s + 2) for cid, _ in g.crossings for s in (1, 2)),
-        key=lambda p: (_id_key(p[0]), p[1]),
-    )
-    seen: set[Passage] = set()
-    comps: list[tuple[Passage, ...]] = []
-    for start in starts:
-        if start in seen:
-            continue
-        cycle = []
-        p = start
-        while p not in seen:
-            seen.add(p)
-            cycle.append(p)
-            nxt = by_source[Endpoint(p[0], p[2])].target
-            p = (nxt.crossing, nxt.slot, nxt.slot + 2)
-        comps.append(tuple(cycle))
-    return comps
+    ix = _Index(g)
+    return [tuple(map(ix.passage, cycle)) for cycle in ix.cycles()]
 
 
 def component_arcs(g: GaussData, comp: tuple[Passage, ...]) -> list[Arc]:
     """Arcs along a component; entry ``k`` joins passage ``k`` to ``k+1``."""
-    by_source, _ = _arc_maps(g)
-    return [by_source[Endpoint(cid, out)] for cid, _, out in comp]
+    ix = _Index(g)
+    return [ix.out[2 * ix.pos[cid] + out - 3] for cid, _, out in comp]
 
 
 def validate(g: GaussData) -> str | None:
-    """First violated well-formedness clause, or None if the data is valid."""
+    """First violated well-formedness clause, or None if the data is valid.
+
+    Costs one pass over the arcs and one walk of the passages, after
+    sorting the crossing ids.
+    """
     try:
-        comps = components(g)
+        ix = _Index(g)
     except ValueError as exc:
         return str(exc)
-    for k, comp in enumerate(comps):
-        parity = sum(arc.bar for arc in component_arcs(g, comp)) % 2
-        if parity:
-            return f"odd wen parity on component {k + 1}"
-    return None
-
-
-def _require_valid(g: GaussData) -> None:
-    problem = validate(g)
-    if problem is not None:
-        raise ValueError(problem)
+    return _odd_cycle(ix, ix.cycles())
 
 
 # --- isomorphism search ----------------------------------------------------
@@ -214,96 +249,98 @@ def is_gauss_isomorphism(g1: GaussData, g2: GaussData, iso: GaussIsomorphism) ->
         return False
     if g1.loops != g2.loops:
         return False
-    if any(g1.sign_of(c) != g2.sign_of(mapping[c]) for c in ids1):
+    signs2 = dict(g2.crossings)
+    if any(s != signs2[mapping[c]] for c, s in g1.crossings):
         return False
     mapped = {
-        Arc(
-            Endpoint(mapping[a.source.crossing], a.source.slot),
-            Endpoint(mapping[a.target.crossing], a.target.slot),
-            a.bar,
-        )
+        (mapping[a.source.crossing], a.source.slot, mapping[a.target.crossing], a.target.slot, a.bar)
         for a in g1.arcs
     }
-    return mapped == set(g2.arcs)
+    return mapped == {
+        (a.source.crossing, a.source.slot, a.target.crossing, a.target.slot, a.bar) for a in g2.arcs
+    }
 
 
-def _local_signature(g: GaussData, by_source, by_target, cid: str) -> tuple:
-    sig = [g.sign_of(cid)]
-    for slot in (3, 4):
-        arc = by_source[Endpoint(cid, slot)]
-        far = arc.target
-        sig.append((arc.bar, far.slot, far.crossing == cid, g.sign_of(far.crossing)))
-    for slot in (1, 2):
-        arc = by_target[Endpoint(cid, slot)]
-        far = arc.source
-        sig.append((arc.bar, far.slot, far.crossing == cid, g.sign_of(far.crossing)))
+def _local_signature(ix: _Index, i: int) -> tuple:
+    # The sign of crossing i, then for its out-arcs (slots 3, 4) and its
+    # in-arcs (slots 1, 2): bar, far slot, whether the far end is i itself,
+    # and the far crossing's sign.
+    signs, bar, succ, pred = ix.signs, ix.bar, ix.succ, ix.pred
+    sig = [signs[i]]
+    for p in (2 * i, 2 * i + 1):
+        q = succ[p]
+        sig.append((bar[p], q & 1, q >> 1 == i, signs[q >> 1]))
+    for p in (2 * i, 2 * i + 1):
+        q = pred[p]
+        sig.append((bar[q], q & 1, q >> 1 == i, signs[q >> 1]))
     return tuple(sig)
 
 
 def same_gauss_data(g1: GaussData, g2: GaussData) -> GaussIsomorphism | None:
     """Search for a sign- and arc-preserving crossing bijection.
 
-    Deterministic backtracking over crossings in id order, pruned by local
-    arc signatures; returns None when no bijection exists.
+    Deterministic backtracking over the crossings of ``g1`` in field order,
+    trying the candidates of ``g2`` in field order, pruned by local arc
+    signatures; returns the first bijection found, or None when none
+    exists.  Setting up costs one pass over each record; each consistency
+    check is constant time, but the backtracking can take exponential time
+    when many crossings share a signature (for example, many disjoint
+    copies of one knot).
     """
-    maps1 = _arc_maps(g1)
-    maps2 = _arc_maps(g2)
+    ix1, ix2 = _Index(g1), _Index(g2)
     if g1.loops != g2.loops or len(g1.crossings) != len(g2.crossings):
         return None
-    ids1 = g1.crossing_ids()
-    ids2 = g2.crossing_ids()
-    sig2 = {c: _local_signature(g2, *maps2, c) for c in ids2}
+    by_signature: dict[tuple, list[int]] = {}
+    for cid, _ in g2.crossings:
+        j = ix2.pos[cid]
+        by_signature.setdefault(_local_signature(ix2, j), []).append(j)
+    order = [ix1.pos[cid] for cid, _ in g1.crossings]
     candidates = {}
-    for c in ids1:
-        sig = _local_signature(g1, *maps1, c)
-        candidates[c] = [d for d in ids2 if sig2[d] == sig]
-        if not candidates[c]:
+    for i in order:
+        candidates[i] = by_signature.get(_local_signature(ix1, i))
+        if candidates[i] is None:
             return None
 
-    by_source1, by_target1 = maps1
-    by_source2, by_target2 = maps2
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
+    succ1, pred1, bar1 = ix1.succ, ix1.pred, ix1.bar
+    succ2, pred2, bar2 = ix2.succ, ix2.pred, ix2.bar
+    image = [-1] * len(ix1.ids)
+    used = [False] * len(ix2.ids)
 
-    def consistent(c: str, d: str) -> bool:
-        # Every arc touching c whose far crossing is already mapped must
+    def consistent(i: int, j: int) -> bool:
+        # Every arc touching i whose far crossing is already mapped must
         # match the corresponding arc of g2 slot-for-slot, bar included.
-        for slot in (3, 4):
-            a1 = by_source1[Endpoint(c, slot)]
-            far = a1.target
-            image = d if far.crossing == c else mapping.get(far.crossing)
-            if image is not None:
-                a2 = by_source2[Endpoint(d, slot)]
-                if a2.bar != a1.bar or a2.target != Endpoint(image, far.slot):
-                    return False
-        for slot in (1, 2):
-            a1 = by_target1[Endpoint(c, slot)]
-            far = a1.source
-            image = d if far.crossing == c else mapping.get(far.crossing)
-            if image is not None:
-                a2 = by_target2[Endpoint(d, slot)]
-                if a2.bar != a1.bar or a2.source != Endpoint(image, far.slot):
-                    return False
+        for p1, p2 in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):
+            q1 = succ1[p1]
+            far = j if q1 >> 1 == i else image[q1 >> 1]
+            if far >= 0 and (bar2[p2] != bar1[p1] or succ2[p2] != 2 * far + (q1 & 1)):
+                return False
+            q1 = pred1[p1]
+            far = j if q1 >> 1 == i else image[q1 >> 1]
+            if far >= 0 and (pred2[p2] != 2 * far + (q1 & 1) or bar2[pred2[p2]] != bar1[q1]):
+                return False
         return True
 
-    def extend(k: int) -> bool:
-        if k == len(ids1):
-            return True
-        c = ids1[k]
-        for d in candidates[c]:
-            if d in used or not consistent(c, d):
-                continue
-            mapping[c] = d
-            used.add(d)
-            if extend(k + 1):
-                return True
-            del mapping[c]
-            used.discard(d)
-        return False
-
-    if not extend(0):
+    # Depth-first search without recursion: ``tried[k]`` counts the
+    # candidates already tried for the k-th crossing of ``order``.
+    tried = [0] * len(order)
+    k = 0
+    while 0 <= k < len(order):
+        i = order[k]
+        if image[i] >= 0:
+            used[image[i]] = False
+            image[i] = -1
+        cands, t = candidates[i], tried[k]
+        while t < len(cands) and (used[cands[t]] or not consistent(i, cands[t])):
+            t += 1
+        if t == len(cands):
+            tried[k] = 0
+            k -= 1
+            continue
+        image[i], used[cands[t]], tried[k] = cands[t], True, t + 1
+        k += 1
+    if k < 0:
         return None
-    iso = GaussIsomorphism(tuple(sorted(mapping.items(), key=lambda p: _id_key(p[0]))))
+    iso = GaussIsomorphism(tuple((c, ix2.ids[image[i]]) for i, c in enumerate(ix1.ids)))
     assert is_gauss_isomorphism(g1, g2, iso)
     return iso
 
@@ -330,15 +367,15 @@ def slide_wen(g: GaussData, arc: Arc, direction: str) -> GaussData:
         raise ValueError(f"arc {arc} not present in data")
     if arc.bar != 1:
         raise ValueError(f"arc {arc} carries no wen to slide")
-    by_source, by_target = _arc_maps(g)
+    ix = _Index(g)
+    leaves = 2 * ix.pos[arc.source.crossing] + arc.source.slot - 3
     if direction == "forward":
-        cid, in_slot = arc.target.crossing, arc.target.slot
-        neighbour = by_source[Endpoint(cid, in_slot + 2)]
-        flips = in_slot == 2
+        crossed = ix.succ[leaves]
+        neighbour = ix.out[crossed]
     else:
-        cid, out_slot = arc.source.crossing, arc.source.slot
-        neighbour = by_target[Endpoint(cid, out_slot - 2)]
-        flips = out_slot == 4
+        crossed = leaves
+        neighbour = ix.out[ix.pred[crossed]]
+    cid, flips = ix.ids[crossed >> 1], crossed & 1
     new_arcs = []
     for a in g.arcs:
         if a == arc and a == neighbour:
@@ -369,25 +406,31 @@ def eliminate_wens(g: GaussData) -> WenElimination:
     whose sign changed, and the slid arcs in order (each entry is the arc
     as it was when its slide was applied, so the sequence replays through
     ``slide_wen``).
+
+    One walk per component finds both: a slide moves the wen across the
+    passage its arc runs into, and flips that crossing exactly when the
+    passage is the over-passage.  The cost is linear in the size of the
+    data, after sorting the crossing ids.
     """
-    _require_valid(g)
-    data = g
+    ix, cycles = _require_valid(g)
+    succ, bar, out, ids = ix.succ, ix.bar, ix.out, ix.ids
     slides: list[Arc] = []
-    for comp in components(g):
-        arcs = component_arcs(g, comp)
-        barred = [k for k, a in enumerate(arcs) if a.bar]
-        for first, second in zip(barred[0::2], barred[1::2]):
-            cur = first
-            while cur != second:
-                src = arcs[cur].source
-                moving = next(a for a in data.arcs if a.source == src)
-                data = slide_wen(data, moving, "forward")
-                slides.append(moving)
-                cur += 1
-    flipped = frozenset(
-        c for (c, s), (_, s0) in zip(data.crossings, g.crossings) if s != s0
-    )
-    return WenElimination(data, flipped, tuple(slides))
+    flipped: set[str] = set()
+    for cycle in cycles:
+        moving = False
+        for p in cycle:
+            moving ^= bar[p]
+            if moving:
+                a = out[p]
+                slides.append(a if a.bar else Arc(a.source, a.target, 1))
+                if succ[p] & 1:
+                    flipped.add(ids[succ[p] >> 1])
+    if not slides:
+        return WenElimination(g, frozenset(), ())
+    # Sources are unique, so passage order is the canonical arc order.
+    arcs = tuple(Arc(a.source, a.target, 0) if a.bar else a for a in out)
+    crossings = tuple((c, -s if c in flipped else s) for c, s in g.crossings)
+    return WenElimination(GaussData(crossings, arcs, g.loops), frozenset(flipped), tuple(slides))
 
 
 def full_loop_slide(g: GaussData, component: int) -> GaussData:
@@ -397,13 +440,14 @@ def full_loop_slide(g: GaussData, component: int) -> GaussData:
     over-passage.  Indices ``0 .. mu-1`` first address the passage cycles
     in ``components`` order, then the crossing-free loops (no-ops).
     """
-    comps = components(g)
-    mu = len(comps) + g.loops
+    ix = _Index(g)
+    cycles = ix.cycles()
+    mu = len(cycles) + g.loops
     if not 0 <= component < mu:
         raise ValueError(f"component index {component} out of range for {mu} components")
-    if component >= len(comps):
+    if component >= len(cycles):
         return g
-    over = {cid for cid, in_slot, _ in comps[component] if in_slot == 2}
+    over = {ix.ids[p >> 1] for p in cycles[component] if p & 1}
     return GaussData(
         tuple((c, -s if c in over else s) for c, s in g.crossings), g.arcs, g.loops
     )
@@ -417,36 +461,51 @@ def reduce_kinks(g: GaussData) -> GaussData:
     remaining arcs (wen parities add); if those coincide the component
     closes into a crossing-free loop.  Repeats until no curl remains; the
     component count never changes.
+
+    A removal never undoes another crossing's curl, only makes new ones
+    where it splices, so every removal order ends at the same data.  A
+    worklist of curls therefore removes them in linear time overall.
     """
-    _require_valid(g)
-    while True:
-        by_source, by_target = _arc_maps(g)
-        removed = False
-        for cid in g.crossing_ids():
-            for out_slot, in_slot in ((3, 2), (4, 1)):
-                curl = by_source[Endpoint(cid, out_slot)]
-                if curl.target != Endpoint(cid, in_slot) or curl.bar:
-                    continue
-                entering = by_target[Endpoint(cid, 3 - in_slot)]
-                leaving_end = Endpoint(cid, 7 - out_slot)
-                signs = dict(g.crossings)
-                del signs[cid]
-                if entering.source == leaving_end:
-                    if entering.bar:
-                        continue  # odd component, never valid; leave it
-                    rest = [a for a in g.arcs if a not in (curl, entering)]
-                    g = GaussData.make(signs, rest, g.loops + 1)
-                else:
-                    leaving = by_source[leaving_end]
-                    rest = [a for a in g.arcs if a not in (curl, entering, leaving)]
-                    rest.append(Arc(entering.source, leaving.target, entering.bar ^ leaving.bar))
-                    g = GaussData.make(signs, rest, g.loops)
-                removed = True
-                break
-            if removed:
-                break
-        if not removed:
-            return g
+    ix, _ = _require_valid(g)
+    succ, pred, bar, out, ids = ix.succ, ix.pred, ix.bar, ix.out, ix.ids
+    alive = [True] * len(ids)
+    spliced: set[int] = set()  # passages whose out-arc changed
+    loops = g.loops
+
+    def curled(p: int) -> bool:  # the arc leaving p is a curl of p's crossing
+        return succ[p] == p ^ 1 and not bar[p]
+
+    work = [i for i in range(len(ids)) if curled(2 * i) or curled(2 * i + 1)]
+    if not work:
+        return g
+    while work:
+        i = work.pop()
+        if not alive[i]:
+            continue
+        alive[i] = False
+        # The strand runs entry -> first -> (curl) -> last -> exit.
+        first = 2 * i if curled(2 * i) else 2 * i + 1
+        last = first ^ 1
+        entry = pred[first]
+        if entry == last:  # the crossing was the whole component
+            loops += 1
+            continue
+        exit_ = succ[last]
+        succ[entry], pred[exit_] = exit_, entry
+        bar[entry] ^= bar[last]
+        spliced.add(entry)
+        if curled(entry):
+            work.append(entry >> 1)
+    crossings = tuple((c, s) for c, s, a in zip(ids, ix.signs, alive) if a)
+    arcs = []
+    for p, a in enumerate(out):
+        if not alive[p >> 1]:
+            continue
+        if p in spliced:
+            q = succ[p]
+            a = Arc(a.source, Endpoint(ids[q >> 1], 1 + (q & 1)), bar[p])
+        arcs.append(a)
+    return GaussData(crossings, tuple(arcs), loops)
 
 
 # --- flat-file format -------------------------------------------------------
@@ -459,6 +518,7 @@ def parse_gauss_file(text: str) -> GaussData:
     ``loops <k>`` lines (any order, duplicates rejected)."""
     signs: dict[str, int] = {}
     arc_lines: list[tuple[int, str, int, str, int, int]] = []
+    seen_arcs: set[tuple[str, int, str, int]] = set()
     loops: int | None = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -486,10 +546,11 @@ def parse_gauss_file(text: str) -> GaussData:
                 or bar not in ("0", "1")
             ):
                 raise FormatError(lineno, f"bad arc declaration {line!r}")
-            entry = (lineno, sc, int(ss), tc, int(ts), int(bar))
-            if any(e[1:5] == entry[1:5] for e in arc_lines):
+            ends = (sc, int(ss), tc, int(ts))
+            if ends in seen_arcs:
                 raise FormatError(lineno, f"duplicate arc {src} -> {tgt}")
-            arc_lines.append(entry)
+            seen_arcs.add(ends)
+            arc_lines.append((lineno, *ends, int(bar)))
         elif fields[0] == "loops":
             if len(fields) != 2 or not _is_count(fields[1]):
                 raise FormatError(lineno, f"expected 'loops <k>', got {line!r}")

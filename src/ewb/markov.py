@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .braid import (
     BraidWord,
@@ -244,18 +244,19 @@ def mirror_word(b: BraidWord) -> BraidWord:
 # --- closure invariants ------------------------------------------------------
 
 
-def _normal_form(
-    g: GaussData, name: str
-) -> tuple[GaussData, int, dict[str, int], dict[str, int]]:
-    """Wen-free form of ``g``, its number of passage cycles, and the cycle
-    running over and the one running under at each crossing.
+class _NormalForm(NamedTuple):
+    """Wen-free form of a diagram, its number of passage cycles, and the
+    cycle running over and the one running under at each crossing."""
 
-    At most 6 link components are supported; ``name`` labels the error.
-    """
+    data: GaussData
+    cycles: int
+    over: dict[str, int]
+    under: dict[str, int]
+
+
+def _normal_form(g: GaussData) -> _NormalForm:
     norm = eliminate_wens(g).data
     comps = components(norm)
-    if len(comps) + norm.loops > 6:
-        raise ValueError(f"{name} canonicalization supports at most 6 components")
     over: dict[str, int] = {}
     under: dict[str, int] = {}
     for ci, cycle in enumerate(comps):
@@ -264,7 +265,13 @@ def _normal_form(
                 over[cid] = ci
             else:
                 under[cid] = ci
-    return norm, len(comps), over, under
+    return _NormalForm(norm, len(comps), over, under)
+
+
+def _check_cap(nf: _NormalForm, name: str) -> None:
+    # At most 6 link components are supported; ``name`` labels the error.
+    if nf.cycles + nf.data.loops > 6:
+        raise ValueError(f"{name} canonicalization supports at most 6 components")
 
 
 def sign_profile(g: GaussData) -> tuple[int, ...]:
@@ -278,16 +285,19 @@ def sign_profile(g: GaussData) -> tuple[int, ...]:
     Markov invariant: the stabilizations ``m2+`` and ``m2-`` each add a
     crossing.
     """
-    norm, cycles, over, _ = _normal_form(g, "sign")
-    best: tuple[int, ...] | None = None
-    for mask in range(1 << cycles):
-        signs = tuple(
-            sorted(-s if (mask >> over[cid]) & 1 else s for cid, s in norm.crossings)
-        )
-        if best is None or signs < best:
-            best = signs
-    assert best is not None
-    return best
+    return _signs_from(_normal_form(g))
+
+
+def _signs_from(nf: _NormalForm) -> tuple[int, ...]:
+    _check_cap(nf, "sign")
+    # The least sorted tuple has the most -1 entries.  A full-loop slide of
+    # one cycle swaps that cycle's counts of negative and positive
+    # over-crossings, so each cycle contributes the larger of the two.
+    counts = [[0, 0] for _ in range(nf.cycles)]
+    for cid, s in nf.data.crossings:
+        counts[nf.over[cid]][s > 0] += 1
+    negative = sum(max(c) for c in counts)
+    return (-1,) * negative + (1,) * (len(nf.data.crossings) - negative)
 
 
 def linking_invariant(g: GaussData) -> tuple[tuple[int, ...], ...]:
@@ -301,13 +311,17 @@ def linking_invariant(g: GaussData) -> tuple[tuple[int, ...], ...]:
     combined with per-row negations, which makes it invariant under component
     renumbering, full-loop slides, and sign reversal.
     """
-    norm, cycles, over, under = _normal_form(g, "linking")
-    mu = cycles + norm.loops
+    return _linking_from(_normal_form(g))
+
+
+def _linking_from(nf: _NormalForm) -> tuple[tuple[int, ...], ...]:
+    _check_cap(nf, "linking")
+    mu = nf.cycles + nf.data.loops
     if mu == 0:
         return ()
     matrix = [[0] * mu for _ in range(mu)]
-    for cid, sign in norm.crossings:
-        i, j = over[cid], under[cid]
+    for cid, sign in nf.data.crossings:
+        i, j = nf.over[cid], nf.under[cid]
         if i != j:
             matrix[i][j] += sign
     best: tuple[tuple[int, ...], ...] | None = None

@@ -56,3 +56,17 @@ def braid_words(draw, max_strands: int = 5, max_length: int = 10) -> BraidWord:
 @pytest.fixture
 def l1_text() -> str:
     return (FIXTURES / "l1.gd").read_text()
+
+
+@st.composite
+def stabilized_words(draw, max_strands: int = 5, max_length: int = 10) -> BraidWord:
+    """A word from ``braid_words`` with stabilizations appended, each on a
+    new strand, then rotated; each crossing stabilization closes into a
+    curl, which the rotation can move anywhere."""
+    w = draw(braid_words(max_strands, max_length))
+    n, letters = w.strands, list(w.letters)
+    for _ in range(draw(st.integers(0, 4))):
+        letters.append(draw(st.sampled_from((sigma, sigma_inv, rho)))(n))
+        n += 1
+    k = draw(st.integers(0, len(letters))) if letters else 0
+    return BraidWord(n, tuple(letters[k:] + letters[:k]))

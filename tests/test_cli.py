@@ -2,7 +2,7 @@
 
 import pytest
 
-from ewb import closure, format_gauss_file, format_word_file, mirror_word, parse_word, word, sigma
+from ewb import closure, eliminate_wens, format_gauss_file, format_word_file, mirror_word, parse_word, word, sigma
 from ewb.cli import main
 
 L1 = "fixtures/l1.gd"
@@ -189,6 +189,21 @@ class TestInvariants:
         )
         assert code == 0
         assert "components: 1" in out and "crossings: 1" in out
+
+    def test_one_wen_elimination_per_run(self, capsys, monkeypatch):
+        from ewb import markov
+
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return eliminate_wens(g)
+
+        monkeypatch.setattr(markov, "eliminate_wens", counting)
+        for fmt in ("text", "machine"):
+            calls.clear()
+            code, _, _ = run(capsys, "invariants", "--input", L1, "--format", fmt)
+            assert code == 0 and len(calls) == 1
 
 
 class TestMarkovVerbs:

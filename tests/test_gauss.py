@@ -1,16 +1,20 @@
 """Gauss data: structure, isomorphism, wen slides, kink reduction."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import braid_words, random_closable_word
+from conftest import braid_words, random_closable_word, stabilized_words
 from ewb import (
     Arc,
+    BraidWord,
     Endpoint,
     FormatError,
     GaussData,
+    braid_from_gauss,
     closable,
     closure,
     component_arcs,
@@ -19,17 +23,21 @@ from ewb import (
     format_gauss_file,
     full_loop_slide,
     is_gauss_isomorphism,
+    linking_invariant,
     parse_gauss_file,
     reduce_kinks,
     rho,
     same_gauss_data,
     sigma,
+    sigma_inv,
+    sign_profile,
     sign_reversal,
     slide_wen,
     tau,
     validate,
     word,
 )
+from test_acceptance import _independent_flip_set
 
 L1_ELIMINATED = """\
 crossing c1 -
@@ -48,6 +56,38 @@ loops 0
 @pytest.fixture
 def l1(l1_text):
     return parse_gauss_file(l1_text)
+
+
+def relabelled(g, mapping):
+    """``g`` with crossing ``c`` renamed ``mapping[c]``."""
+    return GaussData.make(
+        [(mapping[c], s) for c, s in g.crossings],
+        [
+            Arc(
+                Endpoint(mapping[a.source.crossing], a.source.slot),
+                Endpoint(mapping[a.target.crossing], a.target.slot),
+                a.bar,
+            )
+            for a in g.arcs
+        ],
+        g.loops,
+    )
+
+
+def shuffled_names(data, g):
+    """A random renaming of ``g``'s crossings, which also reorders them."""
+    names = data.draw(st.permutations([f"k{i}" for i in range(len(g.crossings))]))
+    return dict(zip(g.crossing_ids(), names))
+
+
+def unbarred_curls(g):
+    return [
+        a
+        for a in g.arcs
+        if a.source.crossing == a.target.crossing
+        and (a.source.slot, a.target.slot) in ((3, 2), (4, 1))
+        and not a.bar
+    ]
 
 
 class TestStructure:
@@ -105,6 +145,10 @@ class TestStructure:
             0,
         )
         assert validate(odd) == "odd wen parity on component 2"
+        # an arc at a crossing that is not declared (only possible when the
+        # record is built without ``GaussData.make``)
+        stray = GaussData(l1.crossings, l1.arcs + (Arc(Endpoint("zz", 3), Endpoint("zz", 1)),), 0)
+        assert validate(stray) == "arc endpoint zz.3 references unknown crossing"
 
 
 class TestFiles:
@@ -287,37 +331,50 @@ class TestReduceKinks:
         assert validate(g) is None
         assert reduce_kinks(g) == g
 
-    def test_preserves_component_count(self):
-        rng = random.Random(3)
-        for _ in range(40):
-            w = random_closable_word(rng, rng.randint(2, 5), rng.randint(0, 10))
-            g = closure(w)
-            reduced = reduce_kinks(g)
-            assert validate(reduced) is None
-            before = len(components(g)) + g.loops
-            after = len(components(reduced)) + reduced.loops
-            assert before == after
+    @settings(max_examples=80, deadline=None)
+    @given(stabilized_words(max_strands=5, max_length=10))
+    def test_preserves_component_count(self, w):
+        # Also: the result is valid, kink-free and a fixed point.
+        if not closable(w):
+            return
+        g = closure(w)
+        reduced = reduce_kinks(g)
+        assert validate(reduced) is None
+        before = len(components(g)) + g.loops
+        after = len(components(reduced)) + reduced.loops
+        assert before == after
+        assert not unbarred_curls(reduced)
+        assert reduce_kinks(reduced) == reduced
+
+    @settings(max_examples=60, deadline=None)
+    @given(stabilized_words(max_strands=5, max_length=10), st.data())
+    def test_commutes_with_relabelling(self, w, data):
+        if not closable(w):
+            return
+        g = closure(w)
+        h = relabelled(g, shuffled_names(data, g))
+        assert same_gauss_data(reduce_kinks(h), reduce_kinks(g)) is not None
 
 
 class TestIsomorphism:
     def test_relabelled_fixture_matches(self, l1):
         mapping = {"c1": "x", "c2": "y2", "c3": "z"}
-        relabelled = GaussData.make(
-            [(mapping[c], s) for c, s in l1.crossings],
-            [
-                Arc(
-                    Endpoint(mapping[a.source.crossing], a.source.slot),
-                    Endpoint(mapping[a.target.crossing], a.target.slot),
-                    a.bar,
-                )
-                for a in l1.arcs
-            ],
-            l1.loops,
-        )
-        iso = same_gauss_data(l1, relabelled)
+        h = relabelled(l1, mapping)
+        iso = same_gauss_data(l1, h)
         assert iso is not None
         assert dict(iso.pairs) == mapping
-        assert is_gauss_isomorphism(l1, relabelled, iso)
+        assert is_gauss_isomorphism(l1, h, iso)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stabilized_words(max_strands=5, max_length=10), st.data())
+    def test_relabelled_closures_match(self, w, data):
+        if not closable(w):
+            return
+        g = closure(w)
+        h = relabelled(g, shuffled_names(data, g))
+        iso = same_gauss_data(g, h)
+        assert iso is not None
+        assert is_gauss_isomorphism(g, h, iso)
 
     def test_distinguishes(self, l1):
         assert same_gauss_data(l1, sign_reversal(l1)) is None
@@ -353,3 +410,49 @@ def test_bars_count_matches_tau_gaps():
     assert all(a.bar == 0 for a in g.arcs)
     g = closure(word(2, tau(1), sigma(1), tau(1)))
     assert sum(a.bar for a in g.arcs) in (0, 2)
+
+
+def _balanced_closable_word(rng, strands, length):
+    # A quarter positive and a quarter negative crossings, an even number
+    # of wens near a quarter, welded crossings for the rest.
+    q = length // 4
+    wens = q - q % 2
+    kinds = [sigma] * q + [sigma_inv] * q + [tau] * wens + [rho] * (length - 2 * q - wens)
+    while True:
+        rng.shuffle(kinds)
+        letters = tuple(k(rng.randint(1, strands if k is tau else strands - 1)) for k in kinds)
+        w = BraidWord(strands, letters)
+        if closable(w):
+            return w
+
+
+def test_rewrites_scale_linearly():
+    """One L=2000 closure through every Gauss operation and a 1000-crossing
+    kink chain, inside a wall bound that quadratic rewrites would miss."""
+    start = time.monotonic()
+    rng = random.Random(2000)
+    g = closure(_balanced_closable_word(rng, 8, 2000))
+    assert len(g.crossings) == 1000
+    assert parse_gauss_file(format_gauss_file(g)) == g
+    assert validate(g) is None
+    result = eliminate_wens(g)
+    assert result.flipped == _independent_flip_set(g)
+    assert not any(a.bar for a in result.data.arcs)
+    assert validate(result.data) is None
+    signs = sign_profile(g)
+    assert sorted(signs) == list(signs) and len(signs) == 1000
+    assert sign_profile(sign_reversal(g)) == signs
+    linking = linking_invariant(g)
+    assert len(linking) == len(components(g)) + g.loops
+    assert linking_invariant(sign_reversal(g)) == linking
+    b = braid_from_gauss(g)
+    assert b.strands == 2 * len(g.crossings) + g.loops
+    assert same_gauss_data(closure(b), g) is not None
+
+    m = 1000
+    letters = [rng.choice((sigma, sigma_inv))(i) for i in range(1, m + 1)]
+    k = rng.randrange(m)
+    chain = closure(BraidWord(m + 1, tuple(letters[k:] + letters[:k])))
+    assert len(chain.crossings) == m
+    assert reduce_kinks(chain) == GaussData((), (), 1)
+    assert time.monotonic() - start < 20.0
