@@ -3,8 +3,8 @@
 Verbs operate on the flat word/Gauss-data/witness file formats and print
 either the produced artifact or a report.  Exit codes: 0 for success or a
 true verdict, 1 for a false verdict, a failed search, or an inconclusive
-result (the report says which), 2 for unreadable or malformed inputs and
-misconfigured limits.
+result (the report says which), 2 for unreadable or malformed inputs,
+unwritable output files and misconfigured limits.
 
 Artifact-producing verbs (``close``, ``braid``, ``signrev-word``,
 ``signrev-gauss``, ``mirror``, ``eliminate-wens``, ``reduce-kinks``) write
@@ -12,15 +12,11 @@ their output file to ``--output`` when given and to stdout otherwise, with
 no extra chatter, so output can be fed back in.  Report verbs honour
 ``--format``: ``text`` is for people; ``machine`` is stable line-oriented
 ``key=value`` output with rows joined by ``;`` and entries by ``,``.
-
-The default search budget for ``markov`` comes from ``--budget``, then the
-``EWB_BUDGET_DEFAULT`` environment variable, then 100000.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -58,7 +54,7 @@ from .markov import (
 
 
 class _InputError(Exception):
-    """Unreadable or malformed input; reported with exit code 2."""
+    """Unreadable or malformed input, or an unwritable output file; exit code 2."""
 
 
 def _read(path: str) -> str:
@@ -86,8 +82,11 @@ def _parse_word_or_gauss(text: str):
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text)
+    except OSError as exc:
+        raise _InputError(str(exc)) from exc
 
 
 # --- verb handlers ----------------------------------------------------------
@@ -202,19 +201,10 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("EWB_BUDGET_DEFAULT", "100000")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise _InputError(f"EWB_BUDGET_DEFAULT is not an integer: {raw!r}") from exc
-
-
 def _cmd_markov(args) -> int:
     a, b = _load(args.a, parse_word_file), _load(args.b, parse_word_file)
-    budget = args.budget if args.budget is not None else _default_budget()
     witness = markov_search(
-        a, b, max_degree=args.max_degree, max_length=args.max_length, budget=budget
+        a, b, max_degree=args.max_degree, max_length=args.max_length, budget=args.budget
     )
     if witness is None:
         if args.format == "machine":
@@ -224,7 +214,7 @@ def _cmd_markov(args) -> int:
         return 1
     text = format_witness(witness.moves)
     if args.output is not None:
-        Path(args.output).write_text(text)
+        _emit(text, args.output)
         if args.format == "machine":
             print("found=true")
             print(f"moves={len(witness.moves)}")
@@ -317,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the witness here instead of stdout")
     p.add_argument("--max-degree", type=int, help="cap on strand count during search")
     p.add_argument("--max-length", type=int, help="cap on word length during search")
-    p.add_argument("--budget", type=int, help="cap on stored search states")
+    p.add_argument("--budget", type=int, default=100_000,
+                   help="cap on stored search states (default %(default)s)")
     p = add("replay", _cmd_replay, "replay a witness file from a start word",
             pair=(("word", "start word file"), ("witness", "witness file")))
     p.add_argument("--target", help="word file the replay should match")

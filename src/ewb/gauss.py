@@ -245,6 +245,8 @@ def is_gauss_isomorphism(g1: GaussData, g2: GaussData, iso: GaussIsomorphism) ->
     """Check a claimed bijection: signs, arcs, bars and loops must all map."""
     mapping = iso.as_dict()
     ids1, ids2 = g1.crossing_ids(), g2.crossing_ids()
+    if len(iso.pairs) != len(mapping):  # a crossing named twice
+        return False
     if sorted(mapping) != sorted(ids1) or sorted(mapping.values()) != sorted(ids2):
         return False
     if g1.loops != g2.loops:
@@ -261,86 +263,60 @@ def is_gauss_isomorphism(g1: GaussData, g2: GaussData, iso: GaussIsomorphism) ->
     }
 
 
-def _local_signature(ix: _Index, i: int) -> tuple:
-    # The sign of crossing i, then for its out-arcs (slots 3, 4) and its
-    # in-arcs (slots 1, 2): bar, far slot, whether the far end is i itself,
-    # and the far crossing's sign.
-    signs, bar, succ, pred = ix.signs, ix.bar, ix.succ, ix.pred
-    sig = [signs[i]]
-    for p in (2 * i, 2 * i + 1):
-        q = succ[p]
-        sig.append((bar[p], q & 1, q >> 1 == i, signs[q >> 1]))
-    for p in (2 * i, 2 * i + 1):
-        q = pred[p]
-        sig.append((bar[q], q & 1, q >> 1 == i, signs[q >> 1]))
-    return tuple(sig)
-
-
 def same_gauss_data(g1: GaussData, g2: GaussData) -> GaussIsomorphism | None:
     """Search for a sign- and arc-preserving crossing bijection.
 
-    Deterministic backtracking over the crossings of ``g1`` in field order,
-    trying the candidates of ``g2`` in field order, pruned by local arc
-    signatures; returns the first bijection found, or None when none
-    exists.  Setting up costs one pass over each record; each consistency
-    check is constant time, but the backtracking can take exponential time
-    when many crossings share a signature (for example, many disjoint
-    copies of one knot).
+    Places one connected piece at a time: the first unmapped crossing of
+    ``g1`` (field order) is tried against each unmapped crossing of ``g2``
+    (field order), and the map is propagated along the out-arcs of every
+    newly placed crossing; any clash undoes the whole piece.  This is
+    exact.  In a connected piece one crossing's image fixes the whole
+    slot-preserving map, and every passage lies on a cycle, so the out-arcs
+    reach the whole piece and a placement covers a whole piece of ``g2``.
+    Isomorphic pieces are interchangeable, so a placement never needs
+    revisiting, and the result is the first bijection in field order, or
+    None when none exists.  Each placement attempt costs O(m), the whole
+    search O(m^2) in the worst case.
     """
     ix1, ix2 = _Index(g1), _Index(g2)
     if g1.loops != g2.loops or len(g1.crossings) != len(g2.crossings):
         return None
-    by_signature: dict[tuple, list[int]] = {}
-    for cid, _ in g2.crossings:
-        j = ix2.pos[cid]
-        by_signature.setdefault(_local_signature(ix2, j), []).append(j)
-    order = [ix1.pos[cid] for cid, _ in g1.crossings]
-    candidates = {}
-    for i in order:
-        candidates[i] = by_signature.get(_local_signature(ix1, i))
-        if candidates[i] is None:
-            return None
+    succ1, bar1, signs1 = ix1.succ, ix1.bar, ix1.signs
+    succ2, bar2, signs2 = ix2.succ, ix2.bar, ix2.signs
+    image = [-1] * len(succ1)  # passage of g1 -> passage of g2
+    preimage = [-1] * len(succ2)
 
-    succ1, pred1, bar1 = ix1.succ, ix1.pred, ix1.bar
-    succ2, pred2, bar2 = ix2.succ, ix2.pred, ix2.bar
-    image = [-1] * len(ix1.ids)
-    used = [False] * len(ix2.ids)
-
-    def consistent(i: int, j: int) -> bool:
-        # Every arc touching i whose far crossing is already mapped must
-        # match the corresponding arc of g2 slot-for-slot, bar included.
-        for p1, p2 in ((2 * i, 2 * j), (2 * i + 1, 2 * j + 1)):
-            q1 = succ1[p1]
-            far = j if q1 >> 1 == i else image[q1 >> 1]
-            if far >= 0 and (bar2[p2] != bar1[p1] or succ2[p2] != 2 * far + (q1 & 1)):
+    def place(i: int, j: int) -> bool:
+        # Map crossing i to j passage by passage: a placed passage pair
+        # pulls in its crossings' other passages and the passages its
+        # out-arcs enter, which must agree in slot, bar and sign.
+        placed, work = [], [(2 * i, 2 * j)]
+        while work:
+            p, q = work.pop()
+            if image[p] == q:
+                continue
+            if (
+                image[p] >= 0
+                or preimage[q] >= 0
+                or (p ^ q) & 1
+                or bar1[p] != bar2[q]
+                or signs1[p >> 1] != signs2[q >> 1]
+            ):
+                for p in placed:
+                    preimage[image[p]] = -1
+                    image[p] = -1
                 return False
-            q1 = pred1[p1]
-            far = j if q1 >> 1 == i else image[q1 >> 1]
-            if far >= 0 and (pred2[p2] != 2 * far + (q1 & 1) or bar2[pred2[p2]] != bar1[q1]):
-                return False
+            image[p], preimage[q] = q, p
+            placed.append(p)
+            work += ((p ^ 1, q ^ 1), (succ1[p], succ2[q]))
         return True
 
-    # Depth-first search without recursion: ``tried[k]`` counts the
-    # candidates already tried for the k-th crossing of ``order``.
-    tried = [0] * len(order)
-    k = 0
-    while 0 <= k < len(order):
-        i = order[k]
-        if image[i] >= 0:
-            used[image[i]] = False
-            image[i] = -1
-        cands, t = candidates[i], tried[k]
-        while t < len(cands) and (used[cands[t]] or not consistent(i, cands[t])):
-            t += 1
-        if t == len(cands):
-            tried[k] = 0
-            k -= 1
-            continue
-        image[i], used[cands[t]], tried[k] = cands[t], True, t + 1
-        k += 1
-    if k < 0:
-        return None
-    iso = GaussIsomorphism(tuple((c, ix2.ids[image[i]]) for i, c in enumerate(ix1.ids)))
+    order2 = [ix2.pos[cid] for cid, _ in g2.crossings]
+    for cid, _ in g1.crossings:
+        i = ix1.pos[cid]
+        if image[2 * i] < 0 and not any(preimage[2 * j] < 0 and place(i, j) for j in order2):
+            return None
+    iso = GaussIsomorphism(tuple((c, ix2.ids[image[2 * i] >> 1]) for i, c in enumerate(ix1.ids)))
     assert is_gauss_isomorphism(g1, g2, iso)
     return iso
 

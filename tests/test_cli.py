@@ -46,6 +46,14 @@ class TestClose:
         assert code == 0 and out == ""
         assert target.read_text().startswith("crossing 1 +")
 
+    def test_unwritable_output_is_an_error(self, capsys, word_file, tmp_path):
+        target = tmp_path / "missing" / "out.gd"
+        code, out, err = run(
+            capsys, "close", "--input", word_file("a.bw", "s1", 2), "--output", str(target)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "No such file or directory" in err
+
     def test_unclosable_word_is_an_error(self, capsys, word_file):
         code, out, err = run(capsys, "close", "--input", word_file("t.bw", "t1", 1))
         assert code == 2 and out == ""
@@ -253,20 +261,13 @@ class TestMarkovVerbs:
         assert code == 1
         assert out == "found=false\n"
 
-    def test_budget_env_default(self, capsys, word_file, monkeypatch):
+    def test_unwritable_witness_is_an_error(self, capsys, word_file, tmp_path):
         a = word_file("a.bw", "s1", 2)
-        b = word_file("b.bw", "S1", 2)
-        monkeypatch.setenv("EWB_BUDGET_DEFAULT", "1")
-        code, out, _ = run(capsys, "markov", a, b)
-        assert code == 1
-        assert out == "inconclusive: no witness within the given limits\n"
-        monkeypatch.setenv("EWB_BUDGET_DEFAULT", "zap")
-        code, _, err = run(capsys, "markov", a, b)
-        assert code == 2
-        assert "EWB_BUDGET_DEFAULT is not an integer" in err
-        # an explicit flag still wins over the environment
-        code, _, _ = run(capsys, "markov", a, b, "--budget", "50000")
-        assert code == 0
+        b = word_file("b.bw", "r1 S1 r1", 2)
+        target = tmp_path / "missing" / "w.txt"
+        code, out, err = run(capsys, "markov", a, b, "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "No such file or directory" in err
 
 
 class TestRelationsVerb:

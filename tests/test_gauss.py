@@ -1,5 +1,6 @@
 """Gauss data: structure, isomorphism, wen slides, kink reduction."""
 
+import itertools
 import random
 import time
 
@@ -14,6 +15,7 @@ from ewb import (
     Endpoint,
     FormatError,
     GaussData,
+    GaussIsomorphism,
     braid_from_gauss,
     closable,
     closure,
@@ -78,6 +80,49 @@ def shuffled_names(data, g):
     """A random renaming of ``g``'s crossings, which also reorders them."""
     names = data.draw(st.permutations([f"k{i}" for i in range(len(g.crossings))]))
     return dict(zip(g.crossing_ids(), names))
+
+
+def disjoint_union(*parts):
+    """The parts side by side; crossing ``k`` of part ``c`` is renamed
+    ``k * len(parts) + c + 1``, so the ids of the parts interleave."""
+    n = len(parts)
+    renamed = [
+        relabelled(g, {cid: str(k * n + c + 1) for k, cid in enumerate(g.crossing_ids())})
+        for c, g in enumerate(parts)
+    ]
+    return GaussData.make(
+        [x for g in renamed for x in g.crossings],
+        [a for g in renamed for a in g.arcs],
+        sum(g.loops for g in renamed),
+    )
+
+
+TREFOILS = (closure(word(2, *[sigma(1)] * 3)), closure(word(2, *[sigma_inv(1)] * 3)))
+
+
+@st.composite
+def small_diagrams(draw):
+    """Closed diagrams of at most 6 crossings: closures of the shared word
+    strategies, or two trefoils side by side."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return disjoint_union(draw(st.sampled_from(TREFOILS)), draw(st.sampled_from(TREFOILS)))
+    if kind == 1:
+        words = braid_words(max_strands=4, max_length=6)
+    else:
+        words = stabilized_words(max_strands=3, max_length=2)
+    return closure(draw(words.filter(closable)))
+
+
+def first_bijection(g, h):
+    """Brute force: the first isomorphism in permutation order of ``h``'s ids."""
+    if len(g.crossings) != len(h.crossings):
+        return None
+    for image in itertools.permutations(h.crossing_ids()):
+        iso = GaussIsomorphism(tuple(zip(g.crossing_ids(), image)))
+        if is_gauss_isomorphism(g, h, iso):
+            return iso
+    return None
 
 
 def unbarred_curls(g):
@@ -385,13 +430,33 @@ class TestIsomorphism:
         iso = same_gauss_data(GaussData((), (), 2), GaussData((), (), 2))
         assert iso is not None and iso.pairs == ()
 
-    def test_checker_rejects_wrong_maps(self, l1):
-        iso = same_gauss_data(l1, l1)
-        assert iso is not None
-        from ewb import GaussIsomorphism
+    @settings(max_examples=150, deadline=None)
+    @given(small_diagrams(), small_diagrams(), st.booleans(), st.data())
+    def test_returns_the_first_bijection(self, g, other, copy, data):
+        h = g if copy else other
+        h = relabelled(h, shuffled_names(data, h))
+        assert same_gauss_data(g, h) == first_bijection(g, h)
 
-        swapped = GaussIsomorphism((("c1", "c2"), ("c2", "c1"), ("c3", "c3")))
-        assert not is_gauss_isomorphism(l1, l1, swapped)
+    def test_interleaved_trefoils_are_fast(self):
+        """Six trefoils with interleaved ids look alike crossing by crossing,
+        which made a crossing-by-crossing search exponential."""
+        start = time.monotonic()
+        g = disjoint_union(*[TREFOILS[0]] * 6)
+        names = g.crossing_ids()
+        random.Random(6).shuffle(names)
+        h = relabelled(g, dict(zip(g.crossing_ids(), names)))
+        iso = same_gauss_data(g, h)
+        assert iso is not None and is_gauss_isomorphism(g, h, iso)
+        assert same_gauss_data(g, closure(word(2, *[sigma(1)] * 18))) is None
+        assert time.monotonic() - start < 5.0
+
+    def test_checker_rejects_wrong_maps(self, l1):
+        assert same_gauss_data(l1, l1) is not None
+        for g, pairs in (
+            (l1, (("c1", "c2"), ("c2", "c1"), ("c3", "c3"))),
+            (TREFOILS[0], (("1", "2"), ("1", "1"), ("2", "2"), ("3", "3"))),  # 1 named twice
+        ):
+            assert not is_gauss_isomorphism(g, g, GaussIsomorphism(pairs))
 
 
 def test_closure_wen_parity_is_even_per_component():
