@@ -56,6 +56,8 @@ class LetterKind(Enum):
     RHO = "r"
     TAU = "t"
 
+    __hash__ = object.__hash__  # members are singletons; Enum hashes the name
+
 
 @dataclass(frozen=True)
 class Letter:

@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, help="cap on strand count during search")
     p.add_argument("--max-length", type=int, help="cap on word length during search")
     p.add_argument("--budget", type=int, default=100_000,
-                   help="cap on stored search states (default %(default)s)")
+                   help="cap on stored search nodes (default %(default)s)")
     p = add("replay", _cmd_replay, "replay a witness file from a start word",
             pair=(("word", "start word file"), ("witness", "witness file")))
     p.add_argument("--target", help="word file the replay should match")

@@ -122,14 +122,21 @@ class _Index:
     ``p ^ 1`` is the other passage of the same crossing.  ``succ[p]`` is
     the passage that the arc leaving ``p`` enters and ``pred`` is its
     inverse; ``bar[p]`` and ``out[p]`` are that arc's wen parity and the
-    arc itself.  Building raises ``ValueError`` on the first duplicate
-    endpoint (in arc order) or dangling endpoint (in crossing order).
+    arc itself.  Building raises ``ValueError`` on the first crossing named
+    twice (in field order), duplicate endpoint (in arc order) or dangling
+    endpoint (in crossing order).
     """
 
     __slots__ = ("ids", "pos", "signs", "succ", "pred", "bar", "out")
 
     def __init__(self, g: GaussData) -> None:
         sign = dict(g.crossings)
+        if len(sign) != len(g.crossings):
+            named = set()
+            for cid, _ in g.crossings:
+                if cid in named:
+                    raise ValueError(f"duplicate crossing {cid}")
+                named.add(cid)
         self.ids = ids = sorted(sign, key=_id_key)
         self.pos = pos = {c: i for i, c in enumerate(ids)}
         self.signs = [sign[c] for c in ids]

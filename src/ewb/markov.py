@@ -354,16 +354,16 @@ def _aut_key(b: BraidWord) -> tuple:
 
 def _neighbors(
     w: BraidWord, max_degree: int, max_length: int
-) -> list[tuple[MarkovMove, BraidWord]]:
-    out: list[tuple[MarkovMove, BraidWord]] = []
-    for k in range(1, len(w.letters)):
-        out.append((MarkovMove("m1", shift=k), w.rotated(k)))
-    if w.strands + 1 <= max_degree and len(w.letters) + 1 <= max_length:
+) -> list[tuple[str, int, int, tuple[Letter, ...]]]:
+    """Moves out of ``w`` as ``(kind, shift, strands, letters)``; the search
+    builds the move and the word only for a neighbor it has not seen."""
+    n, letters = w.strands, w.letters
+    out = [("m1", k, n, letters[k:] + letters[:k]) for k in range(1, len(letters))]
+    if n + 1 <= max_degree and len(letters) + 1 <= max_length:
         for kind in ("m2+", "m2-", "m2w"):
-            move = MarkovMove(kind)
-            out.append((move, apply_move(w, move)))
+            out.append((kind, 0, n + 1, letters + (_STAB_LETTER[kind](n),)))
     if destab_applicable(w):
-        out.append((MarkovMove("m2d"), BraidWord(w.strands - 1, w.letters[:-1])))
+        out.append(("m2d", 0, n - 1, letters[:-1]))
     return out
 
 
@@ -427,9 +427,15 @@ def markov_search(
     ``max_length``; defaults are the input maxima plus 2 and plus 6), and
     destabilization when it applies.  A state can be reached by words that
     rotate differently, so each distinct arrival word is expanded once;
-    ``budget`` caps the total number of stored (state, word) nodes.  Returns
-    a verified witness, or ``None`` when the space within the caps is
-    exhausted or the budget runs out -- which is always inconclusive.
+    ``budget`` caps the total number of stored (state, word) nodes.  The
+    visited set of each side is keyed by the word (degree and letters),
+    which fixes its state, and is checked before the state key: the key (one
+    ``to_automorphism``) is computed once per stored node and never for a
+    word already seen.  Expanding a word of length L builds and hashes its
+    at most L + 3 neighbor letter tuples, O(L^2) letter operations, and
+    computes keys only for the unseen ones.  Returns a verified witness, or
+    ``None`` when the space within the caps is exhausted or the budget runs
+    out -- which is always inconclusive.
     """
     if max_degree is None:
         max_degree = max(a.strands, b.strands) + 2
@@ -451,7 +457,7 @@ def markov_search(
         {key_a: None},
         {key_b: None},
     )
-    seen: tuple[set, set] = ({(key_a, a.letters)}, {(key_b, b.letters)})
+    seen: tuple[set, set] = ({(a.strands, a.letters)}, {(b.strands, b.letters)})
     queues: tuple[deque, deque] = (deque([(key_a, a)]), deque([(key_b, b)]))
 
     nodes = 2
@@ -463,14 +469,16 @@ def markov_search(
         else:
             side = 0 if len(queues[0]) <= len(queues[1]) else 1
         key, word = queues[side].popleft()
-        for move, produced in _neighbors(word, max_degree, max_length):
-            next_key = _aut_key(produced)
-            if (next_key, produced.letters) in seen[side]:
+        for kind, shift, strands, letters in _neighbors(word, max_degree, max_length):
+            if (strands, letters) in seen[side]:
                 continue
             if nodes >= budget:
                 return None
             nodes += 1
-            seen[side].add((next_key, produced.letters))
+            seen[side].add((strands, letters))
+            produced = BraidWord(strands, letters)
+            move = MarkovMove(kind, shift=shift)
+            next_key = _aut_key(produced)
             if next_key not in trees[side]:
                 trees[side][next_key] = (key, word, move, produced)
                 if next_key in trees[1 - side]:

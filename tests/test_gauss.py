@@ -194,6 +194,14 @@ class TestStructure:
         # record is built without ``GaussData.make``)
         stray = GaussData(l1.crossings, l1.arcs + (Arc(Endpoint("zz", 3), Endpoint("zz", 1)),), 0)
         assert validate(stray) == "arc endpoint zz.3 references unknown crossing"
+        # a crossing named twice, also only possible without ``GaussData.make``
+        trefoil = closure(word(2, sigma(1), sigma(1), sigma(1)))
+        twice = GaussData(trefoil.crossings + (("1", -1),), trefoil.arcs, 0)
+        assert validate(twice) == "duplicate crossing 1"
+        same = lambda g: same_gauss_data(g, g)
+        for operation in (sign_profile, eliminate_wens, braid_from_gauss, same):
+            with pytest.raises(ValueError, match="duplicate crossing 1"):
+                operation(twice)
 
 
 class TestFiles:

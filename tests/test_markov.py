@@ -1,11 +1,13 @@
 """Markov moves, witnesses, the bounded search, and closure invariants."""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ewb.markov
 from conftest import random_closable_word, random_word
 from ewb import (
     BraidWord,
@@ -34,11 +36,13 @@ from ewb import (
     sign_profile,
     sign_reversal_word,
     tau,
+    to_automorphism,
     verify_witness,
     wen_row,
     word,
     words_equal,
 )
+from ewb.markov import _stitch
 
 
 class TestMoves:
@@ -236,17 +240,7 @@ class TestSearch:
     def test_recovers_short_random_chains(self, data):
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         a = random_word(rng, rng.randint(2, 4), rng.randint(1, 6))
-        current = a
-        for _ in range(rng.randint(1, 3)):
-            options = ["m1", "m2+", "m2-", "m2w"]
-            if destab_applicable(current) and current.strands > 2:
-                options.append("m2d")
-            kind = rng.choice(options)
-            if kind == "m1":
-                move = MarkovMove("m1", shift=rng.randrange(1, len(current.letters) + 1))
-            else:
-                move = MarkovMove(kind)
-            current = apply_move(current, move)
+        current = _random_chain(rng, a, rng.randint(1, 3))
         witness = markov_search(
             a,
             current,
@@ -256,6 +250,98 @@ class TestSearch:
         )
         assert witness is not None
         assert verify_witness(witness)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_matches_the_key_first_search(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        a = random_word(rng, rng.randint(2, 4), rng.randint(1, 6))
+        if data.draw(st.booleans()):
+            b = _random_chain(rng, a, rng.randint(1, 3))
+        else:
+            b = random_word(rng, rng.randint(2, 4), rng.randint(1, 6))
+        caps = {
+            "max_degree": max(a.strands, b.strands) + 2,
+            "max_length": max(len(a.letters), len(b.letters)) + 6,
+            "budget": data.draw(st.integers(50, 2000)),
+        }
+        expected = _key_first_search(a, b, **caps)
+        witness = markov_search(a, b, **caps)
+        if expected is None:
+            assert witness is None
+        else:
+            assert witness is not None
+            assert format_witness(witness.moves) == format_witness(expected.moves)
+
+    def test_each_stored_word_is_keyed_once(self, monkeypatch):
+        keyed = []
+
+        def counted(b):
+            keyed.append(b)
+            return to_automorphism(b)
+
+        monkeypatch.setattr(ewb.markov, "to_automorphism", counted)
+        a, b = parse_word("r2 S2 s2 S2", 3), parse_word("r1 t1 s2 t2", 3)
+        assert markov_search(a, b, budget=2000) is None
+        assert len(keyed) <= 2000
+
+
+def _random_chain(rng: random.Random, a: BraidWord, count: int) -> BraidWord:
+    """Apply ``count`` random m1, stabilization or m2d moves to ``a``."""
+    current = a
+    for _ in range(count):
+        # m1 needs a letter to move; an m2d can leave the word empty
+        options = ["m1", "m2+", "m2-", "m2w"] if current.letters else ["m2+", "m2-", "m2w"]
+        if destab_applicable(current) and current.strands > 2:
+            options.append("m2d")
+        kind = rng.choice(options)
+        if kind == "m1":
+            move = MarkovMove("m1", shift=rng.randrange(1, len(current.letters) + 1))
+        else:
+            move = MarkovMove(kind)
+        current = apply_move(current, move)
+    return current
+
+
+def _key_first_search(a, b, *, max_degree, max_length, budget):
+    """Reference search that computes every neighbor's automorphism key
+    before its visited check, with fully built moves and words."""
+
+    def key(w):
+        return (w.strands, tuple(image.letters for image in to_automorphism(w).images))
+
+    def neighbors(w):
+        out = [(MarkovMove("m1", shift=k), w.rotated(k)) for k in range(1, len(w.letters))]
+        if w.strands < max_degree and len(w.letters) < max_length:
+            out += [(MarkovMove(m), apply_move(w, MarkovMove(m))) for m in ("m2+", "m2-", "m2w")]
+        if destab_applicable(w):
+            out.append((MarkovMove("m2d"), apply_move(w, MarkovMove("m2d"))))
+        return out
+
+    key_a, key_b = key(a), key(b)
+    if key_a == key_b:
+        return MoveWitness(a, () if a == b else (MarkovMove("m0", word=b),), b)
+    trees = ({key_a: None}, {key_b: None})
+    seen = ({(key_a, a.letters)}, {(key_b, b.letters)})
+    queues = (deque([(key_a, a)]), deque([(key_b, b)]))
+    nodes = 2
+    while queues[0] or queues[1]:
+        side = 0 if queues[0] and (not queues[1] or len(queues[0]) <= len(queues[1])) else 1
+        parent_key, w = queues[side].popleft()
+        for move, produced in neighbors(w):
+            next_key = key(produced)
+            if (next_key, produced.letters) in seen[side]:
+                continue
+            if nodes >= budget:
+                return None
+            nodes += 1
+            seen[side].add((next_key, produced.letters))
+            if next_key not in trees[side]:
+                trees[side][next_key] = (parent_key, w, move, produced)
+                if next_key in trees[1 - side]:
+                    return _stitch(a, b, trees[0], trees[1], next_key)
+            queues[side].append((next_key, produced))
+    return None
 
 
 class TestLinking:
