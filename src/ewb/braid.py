@@ -41,6 +41,11 @@ class FormatError(ValueError):
         self.line = line
 
 
+# Largest ``strands`` or ``loops`` count a file may declare: the count alone
+# sizes the work and memory of every verb, whatever the rest of the file holds.
+_MAX_FILE_COUNT = 100_000
+
+
 def _is_count(field: str) -> bool:
     """Whether a file field is a plain ASCII decimal number."""
     return field.isascii() and field.isdigit()
@@ -182,6 +187,8 @@ def parse_word_file(text: str) -> BraidWord:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "strands" or not _is_count(head[1]) or int(head[1]) < 1:
         raise FormatError(1, f"expected 'strands <n>', got {lines[0]!r}")
+    if int(head[1]) > _MAX_FILE_COUNT:
+        raise FormatError(1, f"more than {_MAX_FILE_COUNT} strands")
     if len(lines) > 2:
         raise FormatError(3, "unexpected extra line in word file")
     body = lines[1] if len(lines) == 2 else ""

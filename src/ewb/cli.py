@@ -247,6 +247,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_verify_relations(args) -> int:
+    if args.n < 1:
+        raise _InputError(f"--n must be at least 1, got {args.n}")
     checked, failures = verify_relations(args.n)
     if args.format == "machine":
         print(f"checked={checked}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .braid import FormatError, _is_count
+from .braid import _MAX_FILE_COUNT, FormatError, _is_count
 
 # A passage through a crossing, written (crossing id, in slot, out slot).
 # The only two passages of a crossing are (c, 1, 3) and (c, 2, 4).
@@ -540,6 +540,8 @@ def parse_gauss_file(text: str) -> GaussData:
             if loops is not None:
                 raise FormatError(lineno, "duplicate loops declaration")
             loops = int(fields[1])
+            if loops > _MAX_FILE_COUNT:
+                raise FormatError(lineno, f"more than {_MAX_FILE_COUNT} loops")
         else:
             raise FormatError(lineno, f"unknown declaration {fields[0]!r}")
     arcs = []

@@ -339,13 +339,6 @@ def _linking_from(nf: _NormalForm) -> tuple[tuple[int, ...], ...]:
 
 # --- bounded bidirectional search ------------------------------------------
 
-# Edges of the stitching tree: (parent state key, word the move was applied
-# to, the move, the word it produced).  Only the first arrival at a state is
-# recorded; later witness assembly inserts m0 bridge moves wherever the word
-# in hand differs from the word an edge expects, which is always legal
-# because the two words share a state (equal automorphisms).
-_Edge = tuple[tuple, BraidWord, MarkovMove, BraidWord]
-
 
 def _aut_key(b: BraidWord) -> tuple:
     images = to_automorphism(b).images
@@ -356,7 +349,7 @@ def _neighbors(
     w: BraidWord, max_degree: int, max_length: int
 ) -> list[tuple[str, int, int, tuple[Letter, ...]]]:
     """Moves out of ``w`` as ``(kind, shift, strands, letters)``; the search
-    builds the move and the word only for a neighbor it has not seen."""
+    builds the word only for a neighbor it has not seen."""
     n, letters = w.strands, w.letters
     out = [("m1", k, n, letters[k:] + letters[:k]) for k in range(1, len(letters))]
     if n + 1 <= max_degree and len(letters) + 1 <= max_length:
@@ -367,45 +360,23 @@ def _neighbors(
     return out
 
 
-def _edge_chain(
-    tree: dict[tuple, _Edge | None], key: tuple
-) -> list[tuple[BraidWord, MarkovMove, BraidWord]]:
-    chain = []
-    while tree[key] is not None:
-        parent_key, parent_word, move, produced = tree[key]  # type: ignore[misc]
-        chain.append((parent_word, move, produced))
-        key = parent_key
-    chain.reverse()
-    return chain
+def _path(parents: dict, word: tuple) -> list[tuple[BraidWord, MarkovMove]]:
+    """The literal moves from a side's root to ``word``, each with the word
+    it applies to."""
+    path = []
+    while parents[word] is not None:
+        word, kind, shift = parents[word]
+        path.append((BraidWord(*word), MarkovMove(kind, shift=shift)))
+    path.reverse()
+    return path
 
 
-def _literal(a: BraidWord, b: BraidWord) -> bool:
-    return a.strands == b.strands and a.letters == b.letters
-
-
-def _stitch(
-    a: BraidWord,
-    b: BraidWord,
-    forward: dict[tuple, _Edge | None],
-    backward: dict[tuple, _Edge | None],
-    meet: tuple,
-) -> MoveWitness:
-    moves: list[MarkovMove] = []
-    current = a
-    for parent_word, move, produced in _edge_chain(forward, meet):
-        if not _literal(current, parent_word):
-            moves.append(MarkovMove("m0", word=parent_word))
-            current = parent_word
-        moves.append(move)
-        current = produced
-    for parent_word, move, produced in reversed(_edge_chain(backward, meet)):
-        if not _literal(current, produced):
-            moves.append(MarkovMove("m0", word=produced))
-            current = produced
-        moves.append(inverse_move(move, parent_word))
-        current = parent_word
-    if not _literal(current, b):
-        moves.append(MarkovMove("m0", word=b))
+def _witness(a: BraidWord, b: BraidWord, parents: tuple[dict, dict], meet: tuple) -> MoveWitness:
+    """Join the two sides' chains at the words ``meet`` that share a state."""
+    moves = [move for _, move in _path(parents[0], meet[0])]
+    if meet[0] != meet[1]:
+        moves.append(MarkovMove("m0", word=BraidWord(*meet[1])))
+    moves += [inverse_move(move, before) for before, move in reversed(_path(parents[1], meet[1]))]
     witness = MoveWitness(a, tuple(moves), b)
     assert verify_witness(witness)
     return witness
@@ -421,21 +392,19 @@ def markov_search(
 ) -> MoveWitness | None:
     """Bidirectional search for a move chain from ``a`` to ``b``.
 
-    States are equivalence classes keyed by degree and induced automorphism,
-    which absorbs m0 rewrites into the state itself.  Neighbors are all m1
-    shifts, the three stabilizations (gated by ``max_degree`` and
-    ``max_length``; defaults are the input maxima plus 2 and plus 6), and
-    destabilization when it applies.  A state can be reached by words that
-    rotate differently, so each distinct arrival word is expanded once;
-    ``budget`` caps the total number of stored (state, word) nodes.  The
-    visited set of each side is keyed by the word (degree and letters),
-    which fixes its state, and is checked before the state key: the key (one
-    ``to_automorphism``) is computed once per stored node and never for a
-    word already seen.  Expanding a word of length L builds and hashes its
-    at most L + 3 neighbor letter tuples, O(L^2) letter operations, and
-    computes keys only for the unseen ones.  Returns a verified witness, or
-    ``None`` when the space within the caps is exhausted or the budget runs
-    out -- which is always inconclusive.
+    Neighbors are all m1 shifts, the three stabilizations (gated by
+    ``max_degree`` and ``max_length``; defaults are the input maxima plus 2
+    and plus 6), and destabilization when it applies.  Each side stores two
+    maps: ``parents``, from each word it reached (degree and letters) to the
+    word and move it came from, which is also its visited set; and
+    ``first``, from each state (degree and induced automorphism, one
+    ``to_automorphism`` per stored word) to the first word that reached it,
+    used only to see the sides meet.  ``budget`` caps the words stored on
+    both sides together.  The witness is the literal chain from ``a`` to the
+    meeting word, one m0 if the two sides' meeting words differ, and the
+    other side's chain inverted back to ``b``.  Returns that verified
+    witness, or ``None`` when the space within the caps is exhausted or the
+    budget runs out -- which is always inconclusive.
     """
     if max_degree is None:
         max_degree = max(a.strands, b.strands) + 2
@@ -450,38 +419,29 @@ def markov_search(
 
     key_a, key_b = _aut_key(a), _aut_key(b)
     if key_a == key_b:
-        moves = () if _literal(a, b) else (MarkovMove("m0", word=b),)
-        return MoveWitness(a, moves, b)
+        return MoveWitness(a, () if a == b else (MarkovMove("m0", word=b),), b)
 
-    trees: tuple[dict[tuple, _Edge | None], dict[tuple, _Edge | None]] = (
-        {key_a: None},
-        {key_b: None},
-    )
-    seen: tuple[set, set] = ({(a.strands, a.letters)}, {(b.strands, b.letters)})
-    queues: tuple[deque, deque] = (deque([(key_a, a)]), deque([(key_b, b)]))
+    roots = ((a.strands, a.letters), (b.strands, b.letters))
+    parents: tuple[dict, dict] = ({roots[0]: None}, {roots[1]: None})
+    first: tuple[dict, dict] = ({key_a: roots[0]}, {key_b: roots[1]})
+    queues: tuple[deque, deque] = (deque([a]), deque([b]))
 
-    nodes = 2
     while queues[0] or queues[1]:
-        if not queues[0]:
-            side = 1
-        elif not queues[1]:
-            side = 0
-        else:
-            side = 0 if len(queues[0]) <= len(queues[1]) else 1
-        key, word = queues[side].popleft()
+        side = 0 if queues[0] and (not queues[1] or len(queues[0]) <= len(queues[1])) else 1
+        word = queues[side].popleft()
+        here = (word.strands, word.letters)
         for kind, shift, strands, letters in _neighbors(word, max_degree, max_length):
-            if (strands, letters) in seen[side]:
+            there = (strands, letters)
+            if there in parents[side]:
                 continue
-            if nodes >= budget:
+            if len(parents[0]) + len(parents[1]) >= budget:
                 return None
-            nodes += 1
-            seen[side].add((strands, letters))
+            parents[side][there] = (here, kind, shift)
             produced = BraidWord(strands, letters)
-            move = MarkovMove(kind, shift=shift)
-            next_key = _aut_key(produced)
-            if next_key not in trees[side]:
-                trees[side][next_key] = (key, word, move, produced)
-                if next_key in trees[1 - side]:
-                    return _stitch(a, b, trees[0], trees[1], next_key)
-            queues[side].append((next_key, produced))
+            key = _aut_key(produced)
+            if key not in first[side]:
+                first[side][key] = there
+                if key in first[1 - side]:
+                    return _witness(a, b, parents, (first[0][key], first[1][key]))
+            queues[side].append(produced)
     return None

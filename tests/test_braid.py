@@ -92,7 +92,13 @@ class TestWordFiles:
         with pytest.raises(FormatError) as err:
             parse_word_file("")
         assert err.value.line == 1
-        for header in ("strands 0\n", "strands \u00b2\n", "strands \u0663\ns1\n"):
+        for header in (
+            "strands 0\n",
+            "strands \u00b2\n",
+            "strands \u0663\ns1\n",
+            "strands 100001\n",
+            "strands 10000000\ns1\n",
+        ):
             with pytest.raises(FormatError) as err:
                 parse_word_file(header)
             assert err.value.line == 1

@@ -65,6 +65,12 @@ class TestClose:
         assert code == 2
         assert "line 2" in err and "bad letter token" in err
 
+    def test_strand_count_above_the_file_limit_is_an_error(self, capsys, write):
+        big = write("big.bw", "strands 10000000\n")
+        code, out, err = run(capsys, "close", "--input", big)
+        assert code == 2 and out == ""
+        assert "line 1" in err and "more than 100000 strands" in err
+
 
 class TestBraid:
     def test_fixture_braids_to_frozen_word(self, capsys):
@@ -278,6 +284,12 @@ class TestRelationsVerb:
     def test_machine_report(self, capsys):
         code, out, _ = run(capsys, "verify-relations", "--n", "3", "--format", "machine")
         assert (code, out) == (0, "checked=28\nfailures=0\n")
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_is_an_error(self, capsys, n):
+        code, out, err = run(capsys, "verify-relations", "--n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--n" in err
 
 
 class TestTopLevelErrors:

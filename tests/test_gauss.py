@@ -234,6 +234,8 @@ class TestFiles:
             ("crossing c1 +\narc c1.3 c1.12 0\n", 2),
             ("loops \u00b2\n", 1),
             ("loops \u0663\n", 1),
+            ("loops 100001\n", 1),
+            ("crossing c1 +\nloops 1000000\n", 2),
         ):
             with pytest.raises(FormatError) as err:
                 parse_gauss_file(text)
