@@ -46,9 +46,16 @@ class FormatError(ValueError):
 _MAX_FILE_COUNT = 100_000
 
 
-def _is_count(field: str) -> bool:
-    """Whether a file field is a plain ASCII decimal number."""
-    return field.isascii() and field.isdigit()
+def _count(field: str, line: int, what: str, cap: int = _MAX_FILE_COUNT) -> int | None:
+    """A count field's value, or None when it is not a plain ASCII decimal
+    number.  A value above ``cap`` is a ``FormatError`` on ``line``; the
+    length test keeps an over-long field from ``int``'s digit limit."""
+    if not (field.isascii() and field.isdigit()):
+        return None
+    digits = field.lstrip("0") or "0"
+    if len(digits) > len(str(cap)) or int(digits) > cap:
+        raise FormatError(line, f"more than {cap} {what}")
+    return int(digits)
 
 
 class NotClosableError(ValueError):
@@ -56,10 +63,21 @@ class NotClosableError(ValueError):
 
 
 class LetterKind(Enum):
-    SIGMA_POS = "s"
-    SIGMA_NEG = "S"
-    RHO = "r"
-    TAU = "t"
+    """Generator families by file token.  ``sign`` is the crossing sign a
+    letter closes to: +1 for ``sigma``, -1 for its inverse, 0 for ``rho``
+    and ``tau``.  ``reach`` is 1 when the letter exchanges positions ``i``
+    and ``i+1``, 0 for the wen; letter ``i`` fits on ``n`` strands when
+    ``i + reach <= n``."""
+
+    SIGMA_POS = ("s", 1, 1)
+    SIGMA_NEG = ("S", -1, 1)
+    RHO = ("r", 0, 1)
+    TAU = ("t", 0, 0)
+
+    def __new__(cls, token: str, sign: int, reach: int) -> LetterKind:
+        member = object.__new__(cls)
+        member._value_, member.sign, member.reach = token, sign, reach
+        return member
 
     __hash__ = object.__hash__  # members are singletons; Enum hashes the name
 
@@ -75,26 +93,26 @@ class Letter:
 
     @property
     def is_sigma(self) -> bool:
-        return self.kind in (LetterKind.SIGMA_POS, LetterKind.SIGMA_NEG)
+        return self.kind.sign != 0
 
     @property
     def sign(self) -> int:
         """Crossing sign: +1 for sigma, -1 for its inverse, 0 otherwise."""
-        if self.kind is LetterKind.SIGMA_POS:
-            return 1
-        if self.kind is LetterKind.SIGMA_NEG:
-            return -1
-        return 0
+        return self.kind.sign
 
     def inverse(self) -> Letter:
-        if self.kind is LetterKind.SIGMA_POS:
-            return Letter(LetterKind.SIGMA_NEG, self.index)
-        if self.kind is LetterKind.SIGMA_NEG:
-            return Letter(LetterKind.SIGMA_POS, self.index)
+        if self.kind.sign:
+            return Letter(_INVERSE_KIND[self.kind], self.index)
         return self  # rho and tau are involutions
 
     def token(self) -> str:
         return f"{self.kind.value}{self.index}"
+
+
+_INVERSE_KIND = {
+    LetterKind.SIGMA_POS: LetterKind.SIGMA_NEG,
+    LetterKind.SIGMA_NEG: LetterKind.SIGMA_POS,
+}
 
 
 def sigma(i: int) -> Letter:
@@ -124,8 +142,7 @@ class BraidWord:
         if self.strands < 1:
             raise ValueError(f"strand count must be >= 1, got {self.strands}")
         for let in self.letters:
-            bound = self.strands if let.kind is LetterKind.TAU else self.strands - 1
-            if let.index > bound:
+            if let.index + let.kind.reach > self.strands:
                 raise ValueError(
                     f"letter {let.token()} out of range on {self.strands} strands"
                 )
@@ -185,15 +202,14 @@ def parse_word_file(text: str) -> BraidWord:
     if not lines:
         raise FormatError(1, "empty word file, expected 'strands <n>'")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "strands" or not _is_count(head[1]) or int(head[1]) < 1:
+    strands = _count(head[1], 1, "strands") if len(head) == 2 and head[0] == "strands" else None
+    if not strands:  # not a count, or zero
         raise FormatError(1, f"expected 'strands <n>', got {lines[0]!r}")
-    if int(head[1]) > _MAX_FILE_COUNT:
-        raise FormatError(1, f"more than {_MAX_FILE_COUNT} strands")
     if len(lines) > 2:
         raise FormatError(3, "unexpected extra line in word file")
     body = lines[1] if len(lines) == 2 else ""
     try:
-        return parse_word(body, int(head[1]))
+        return parse_word(body, strands)
     except ValueError as exc:
         raise FormatError(2, str(exc)) from None
 
@@ -230,14 +246,14 @@ class FreeWord:
 
 
 def _letter_table(let: Letter) -> dict[int, tuple[int, ...]]:
-    i = let.index
-    if let.kind is LetterKind.SIGMA_POS:
+    i, kind = let.index, let.kind
+    if not kind.reach:
+        return {i: (-i,)}
+    if kind.sign > 0:
         return {i: (i, i + 1, -i), i + 1: (i,)}
-    if let.kind is LetterKind.SIGMA_NEG:
+    if kind.sign < 0:
         return {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}
-    if let.kind is LetterKind.RHO:
-        return {i: (i + 1,), i + 1: (i,)}
-    return {i: (-i,)}
+    return {i: (i + 1,), i + 1: (i,)}
 
 
 def _substitute(word: tuple[int, ...], table: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
@@ -312,11 +328,11 @@ def _strand_walk(b: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
     occupant = list(range(b.strands + 1))  # occupant[pos] = strand, 1-based
     counts = [0] * (b.strands + 1)
     for let in b.letters:
-        if let.kind is LetterKind.TAU:
-            counts[occupant[let.index]] += 1
-        else:
-            i = let.index
+        i = let.index
+        if let.kind.reach:
             occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
+        else:
+            counts[occupant[i]] += 1
     final = [0] * b.strands
     for pos in range(1, b.strands + 1):
         final[occupant[pos] - 1] = pos

@@ -4,7 +4,8 @@ Verbs operate on the flat word/Gauss-data/witness file formats and print
 either the produced artifact or a report.  Exit codes: 0 for success or a
 true verdict, 1 for a false verdict, a failed search, or an inconclusive
 result (the report says which), 2 for unreadable or malformed inputs,
-unwritable output files and misconfigured limits.
+unwritable output files and misconfigured limits.  Inputs are checked where
+they enter, so a fault inside the library ends with a traceback instead.
 
 Artifact-producing verbs (``close``, ``braid``, ``signrev-word``,
 ``signrev-gauss``, ``mirror``, ``eliminate-wens``, ``reduce-kinks``) write
@@ -31,6 +32,7 @@ from .braid import (
 )
 from .closure import braid_from_gauss, closure
 from .gauss import (
+    GaussData,
     eliminate_wens,
     format_gauss_file,
     parse_gauss_file,
@@ -47,8 +49,10 @@ from .markov import (
     replay_witness,
     sign_reversal_word,
     MoveWitness,
+    _check_cap,
     _linking_from,
     _normal_form,
+    _search_limits,
     _signs_from,
 )
 
@@ -62,6 +66,8 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise _InputError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: {exc}") from exc
 
 
 def _load(path: str, parse):
@@ -70,6 +76,24 @@ def _load(path: str, parse):
         return parse(_read(path))
     except FormatError as exc:
         raise _InputError(f"{path}: {exc}") from exc
+
+
+def _load_valid(path: str, parse=parse_gauss_file):
+    """``_load`` for verbs that need valid Gauss data; a broken
+    well-formedness clause names the file.  Words pass through."""
+    data = _load(path, parse)
+    message = validate(data) if isinstance(data, GaussData) else None
+    if message is not None:
+        raise _InputError(f"{path}: {message}")
+    return data
+
+
+def _checked(check, *args):
+    """Run a library precondition; its ``ValueError`` is bad input."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
 
 
 def _parse_word_or_gauss(text: str):
@@ -99,7 +123,7 @@ def _cmd_close(args) -> int:
 
 
 def _cmd_braid(args) -> int:
-    b = braid_from_gauss(_load(args.input, parse_gauss_file))
+    b = braid_from_gauss(_load_valid(args.input))
     _emit(format_word_file(b), args.output)
     return 0
 
@@ -128,7 +152,7 @@ def _cmd_eq_word(args) -> int:
 
 
 def _cmd_eq_gauss(args) -> int:
-    iso = same_gauss_data(_load(args.a, parse_gauss_file), _load(args.b, parse_gauss_file))
+    iso = same_gauss_data(_load_valid(args.a), _load_valid(args.b))
     if iso is None:
         print("isomorphic=false" if args.format == "machine" else "not isomorphic")
         return 1
@@ -157,7 +181,7 @@ def _cmd_mirror(args) -> int:
 
 
 def _cmd_eliminate_wens(args) -> int:
-    result = eliminate_wens(_load(args.input, parse_gauss_file))
+    result = eliminate_wens(_load_valid(args.input))
     _emit(format_gauss_file(result.data), args.output)
     if args.output is not None:
         flipped = ",".join(sorted(result.flipped))
@@ -170,17 +194,15 @@ def _cmd_eliminate_wens(args) -> int:
 
 
 def _cmd_reduce_kinks(args) -> int:
-    _emit(format_gauss_file(reduce_kinks(_load(args.input, parse_gauss_file))), args.output)
+    _emit(format_gauss_file(reduce_kinks(_load_valid(args.input))), args.output)
     return 0
 
 
 def _cmd_invariants(args) -> int:
-    data = _load(args.input, _parse_word_or_gauss)
+    data = _load_valid(args.input, _parse_word_or_gauss)
     g = closure(data) if isinstance(data, BraidWord) else data
-    message = validate(g)
-    if message is not None:
-        raise _InputError(f"{args.input}: {message}")
     nf = _normal_form(g)  # shared by both invariants
+    _checked(_check_cap, nf, "sign")
     mu = nf.cycles + g.loops
     signs = _signs_from(nf)
     linking = _linking_from(nf)
@@ -203,6 +225,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_markov(args) -> int:
     a, b = _load(args.a, parse_word_file), _load(args.b, parse_word_file)
+    _checked(_search_limits, a, b, args.max_degree, args.max_length, args.budget)
     witness = markov_search(
         a, b, max_degree=args.max_degree, max_length=args.max_length, budget=args.budget
     )
@@ -331,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotClosableError as exc:
         print(f"not closable: {exc}", file=sys.stderr)
         return 2
-    except (_InputError, ValueError) as exc:
+    except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .braid import (
     BraidWord,
     Letter,
-    LetterKind,
     NotClosableError,
     _cycles,
     rho,
@@ -61,14 +60,14 @@ def closure_trace(b: BraidWord) -> ClosureTrace:
     wens: list[list[int]] = [[0] for _ in range(n + 1)]
     crossing = 0
     for let in b.letters:
-        i = let.index
-        if let.kind is LetterKind.TAU:
+        i, kind = let.index, let.kind
+        if not kind.reach:
             wens[occupant[i]][-1] += 1
             continue
-        if let.is_sigma:
+        if kind.sign:
             crossing += 1
             cid = str(crossing)
-            if let.sign > 0:
+            if kind.sign > 0:
                 under, over = occupant[i], occupant[i + 1]
             else:
                 over, under = occupant[i], occupant[i + 1]
@@ -112,8 +111,8 @@ def closure(b: BraidWord) -> GaussData:
             nxt = (j + 1) % len(passages)
             nid, inn, _ = passages[nxt]
             arcs.append(Arc(Endpoint(cid, out), Endpoint(nid, inn), gaps[nxt] % 2))
-    sigmas = (let for let in b.letters if let.is_sigma)
-    signs = {str(c): let.sign for c, let in enumerate(sigmas, start=1)}
+    crossing_signs = [let.kind.sign for let in b.letters if let.kind.sign]
+    signs = {str(c): sign for c, sign in enumerate(crossing_signs, start=1)}
     return GaussData.make(signs, arcs, loops)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .braid import _MAX_FILE_COUNT, FormatError, _is_count
+from .braid import FormatError, _count
 
 # A passage through a crossing, written (crossing id, in slot, out slot).
 # The only two passages of a crossing are (c, 1, 3) and (c, 2, 4).
@@ -359,16 +359,12 @@ def slide_wen(g: GaussData, arc: Arc, direction: str) -> GaussData:
         crossed = leaves
         neighbour = ix.out[ix.pred[crossed]]
     cid, flips = ix.ids[crossed >> 1], crossed & 1
-    new_arcs = []
-    for a in g.arcs:
-        if a == arc and a == neighbour:
-            new_arcs.append(a)  # wen returns to the same arc around a curl
-        elif a == arc:
-            new_arcs.append(Arc(a.source, a.target, a.bar ^ 1))
-        elif a == neighbour:
-            new_arcs.append(Arc(a.source, a.target, a.bar ^ 1))
-        else:
-            new_arcs.append(a)
+    # The bar leaves ``arc`` for ``neighbour``; around a curl they are one
+    # arc and the wen returns to it.
+    new_arcs = [
+        Arc(a.source, a.target, a.bar ^ 1) if (a == arc) != (a == neighbour) else a
+        for a in g.arcs
+    ]
     crossings = tuple((c, -s if flips and c == cid else s) for c, s in g.crossings)
     return GaussData(crossings, tuple(sorted(new_arcs, key=Arc.key)), g.loops)
 
@@ -535,13 +531,12 @@ def parse_gauss_file(text: str) -> GaussData:
             seen_arcs.add(ends)
             arc_lines.append((lineno, *ends, int(bar)))
         elif fields[0] == "loops":
-            if len(fields) != 2 or not _is_count(fields[1]):
+            count = _count(fields[1], lineno, "loops") if len(fields) == 2 else None
+            if count is None:
                 raise FormatError(lineno, f"expected 'loops <k>', got {line!r}")
             if loops is not None:
                 raise FormatError(lineno, "duplicate loops declaration")
-            loops = int(fields[1])
-            if loops > _MAX_FILE_COUNT:
-                raise FormatError(lineno, f"more than {_MAX_FILE_COUNT} loops")
+            loops = count
         else:
             raise FormatError(lineno, f"unknown declaration {fields[0]!r}")
     arcs = []

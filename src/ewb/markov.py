@@ -26,6 +26,7 @@ closed diagram.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
@@ -35,8 +36,7 @@ from .braid import (
     BraidWord,
     FormatError,
     Letter,
-    LetterKind,
-    _is_count,
+    _count,
     parse_word,
     rho,
     sigma,
@@ -50,6 +50,8 @@ from .gauss import GaussData, components, eliminate_wens
 MOVE_KINDS = ("m0", "m1", "m2+", "m2-", "m2w", "m2d")
 
 _STAB_LETTER = {"m2+": sigma, "m2-": sigma_inv, "m2w": rho}
+# The stabilization that appends a letter of each kind, undoing m2d.
+_STAB_MOVE = {make(1).kind: kind for kind, make in _STAB_LETTER.items()}
 
 
 @dataclass(frozen=True)
@@ -83,13 +85,9 @@ def destab_applicable(b: BraidWord) -> bool:
     if n < 2 or not b.letters:
         return False
     last = b.letters[-1]
-    if last.kind is LetterKind.TAU or last.index != n - 1:
+    if not last.kind.reach or last.index != n - 1:
         return False
-    for letter in b.letters[:-1]:
-        bound = n - 1 if letter.kind is LetterKind.TAU else n - 2
-        if letter.index > bound:
-            return False
-    return True
+    return all(let.index + let.kind.reach < n for let in b.letters[:-1])
 
 
 def apply_move(b: BraidWord, move: MarkovMove) -> BraidWord:
@@ -125,12 +123,7 @@ def inverse_move(move: MarkovMove, before: BraidWord) -> MarkovMove:
     if move.kind in _STAB_LETTER:
         return MarkovMove("m2d")
     if move.kind == "m2d":
-        kind = {
-            LetterKind.SIGMA_POS: "m2+",
-            LetterKind.SIGMA_NEG: "m2-",
-            LetterKind.RHO: "m2w",
-        }[before.letters[-1].kind]
-        return MarkovMove(kind)
+        return MarkovMove(_STAB_MOVE[before.letters[-1].kind])
     raise ValueError(f"unknown move kind {move.kind!r}")
 
 
@@ -175,9 +168,12 @@ def parse_witness(text: str, start: BraidWord) -> tuple[MarkovMove, ...]:
             continue
         head = parts[0]
         if head == "m1":
-            if len(parts) != 2 or not _is_count(parts[1]):
+            shift = None
+            if len(parts) == 2:
+                shift = _count(parts[1], lineno, "letters in an m1 shift", sys.maxsize)
+            if shift is None:
                 raise FormatError(lineno, "m1 takes one non-negative shift count")
-            move = MarkovMove("m1", shift=int(parts[1]))
+            move = MarkovMove("m1", shift=shift)
         elif head in ("m2+", "m2-", "m2w", "m2d"):
             if len(parts) != 1:
                 raise FormatError(lineno, f"{head} takes no arguments")
@@ -213,9 +209,9 @@ def sign_reversal_word(b: BraidWord) -> BraidWord:
     """
     out: list[Letter] = []
     for letter in b.letters:
-        if letter.is_sigma:
-            flipped = LetterKind.SIGMA_NEG if letter.kind is LetterKind.SIGMA_POS else LetterKind.SIGMA_POS
-            out.extend((rho(letter.index), Letter(flipped, letter.index), rho(letter.index)))
+        if letter.kind.sign:
+            r = rho(letter.index)
+            out += (r, letter.inverse(), r)
         else:
             out.append(letter)
     return BraidWord(b.strands, tuple(out))
@@ -228,17 +224,9 @@ def mirror_word(b: BraidWord) -> BraidWord:
     closure of the mirror is the sign reversal of the closure.
     """
     n = b.strands
-    out: list[Letter] = []
-    for letter in b.letters:
-        if letter.kind is LetterKind.TAU:
-            out.append(tau(n + 1 - letter.index))
-        elif letter.kind is LetterKind.RHO:
-            out.append(rho(n - letter.index))
-        elif letter.kind is LetterKind.SIGMA_POS:
-            out.append(sigma_inv(n - letter.index))
-        else:
-            out.append(sigma(n - letter.index))
-    return BraidWord(n, tuple(out))
+    return BraidWord(n, tuple(
+        Letter(let.kind, n + 1 - let.kind.reach - let.index).inverse() for let in b.letters
+    ))
 
 
 # --- closure invariants ------------------------------------------------------
@@ -382,6 +370,24 @@ def _witness(a: BraidWord, b: BraidWord, parents: tuple[dict, dict], meet: tuple
     return witness
 
 
+def _search_limits(
+    a: BraidWord, b: BraidWord, max_degree: int | None, max_length: int | None, budget: int
+) -> tuple[int, int]:
+    """The degree and length caps of a search, defaulted from the inputs;
+    raises ``ValueError`` when a limit leaves the inputs no room."""
+    if max_degree is None:
+        max_degree = max(a.strands, b.strands) + 2
+    if max_length is None:
+        max_length = max(len(a.letters), len(b.letters)) + 6
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if max_degree < max(a.strands, b.strands):
+        raise ValueError("degree cap is below the degree of an input word")
+    if max_length < max(len(a.letters), len(b.letters)):
+        raise ValueError("length cap is below the length of an input word")
+    return max_degree, max_length
+
+
 def markov_search(
     a: BraidWord,
     b: BraidWord,
@@ -406,17 +412,7 @@ def markov_search(
     witness, or ``None`` when the space within the caps is exhausted or the
     budget runs out -- which is always inconclusive.
     """
-    if max_degree is None:
-        max_degree = max(a.strands, b.strands) + 2
-    if max_length is None:
-        max_length = max(len(a.letters), len(b.letters)) + 6
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if max_degree < max(a.strands, b.strands):
-        raise ValueError("degree cap is below the degree of an input word")
-    if max_length < max(len(a.letters), len(b.letters)):
-        raise ValueError("length cap is below the length of an input word")
-
+    max_degree, max_length = _search_limits(a, b, max_degree, max_length, budget)
     key_a, key_b = _aut_key(a), _aut_key(b)
     if key_a == key_b:
         return MoveWitness(a, () if a == b else (MarkovMove("m0", word=b),), b)

@@ -98,10 +98,15 @@ class TestWordFiles:
             "strands \u0663\ns1\n",
             "strands 100001\n",
             "strands 10000000\ns1\n",
+            "strands " + "1" * 5000 + "\ns1\n",
+            "strands " + "0" * 5000 + "\n",
         ):
             with pytest.raises(FormatError) as err:
                 parse_word_file(header)
             assert err.value.line == 1
+        # a count too long for int() gets the same cap message
+        with pytest.raises(FormatError, match="more than 100000 strands"):
+            parse_word_file("strands " + "9" * 5000 + "\n")
         with pytest.raises(FormatError) as err:
             parse_word_file("strands 2\ns1 q7\n")
         assert err.value.line == 2

@@ -297,6 +297,39 @@ class TestTopLevelErrors:
         code, _, err = run(capsys, "close", "--input", "/nonexistent.bw")
         assert code == 2 and err != ""
 
+    @pytest.mark.parametrize(
+        "verb, files, extra, message",
+        [
+            ("eq-gauss", ("bad.gd", L1), (), "bad.gd: dangling endpoint"),
+            ("eq-gauss", (L1, "bad.gd"), (), "bad.gd: dangling endpoint"),
+            ("eliminate-wens", ("--input", "bad.gd"), (), "bad.gd: dangling endpoint"),
+            ("reduce-kinks", ("--input", "bad.gd"), (), "bad.gd: dangling endpoint"),
+            ("markov", ("a.bw", "a.bw"), ("--budget", "0"), "budget must be at least 1"),
+            ("markov", ("a.bw", "a.bw"), ("--max-degree", "1"), "degree cap is below"),
+            ("invariants", ("--input", "seven.gd"), (), "at most 6 components"),
+            ("close", ("--input", "binary.bw"), (), "binary.bw: 'utf-8' codec"),
+        ],
+    )
+    def test_inputs_are_checked_where_they_enter(self, capsys, tmp_path, verb, files, extra, message):
+        (tmp_path / "bad.gd").write_text("crossing c +\nloops 0\n")
+        (tmp_path / "a.bw").write_text("strands 2\ns1\n")
+        (tmp_path / "seven.gd").write_text("loops 7\n")
+        (tmp_path / "binary.bw").write_bytes(b"\xff\xfe\n")
+        argv = [f if f.startswith("-") or f == L1 else str(tmp_path / f) for f in files]
+        code, out, err = run(capsys, verb, *argv, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_a_library_fault_is_not_bad_input(self, monkeypatch, write):
+        from ewb import cli
+
+        def broken(b):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "closure", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["close", "--input", write("a.bw", "strands 2\ns1\n")])
+
     def test_unknown_verb(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

@@ -236,10 +236,16 @@ class TestFiles:
             ("loops \u0663\n", 1),
             ("loops 100001\n", 1),
             ("crossing c1 +\nloops 1000000\n", 2),
+            ("crossing c1 +\nloops " + "1" * 5000 + "\n", 2),
+            ("loops " + "0" * 4999 + "7\nloops 7\n", 2),
         ):
             with pytest.raises(FormatError) as err:
                 parse_gauss_file(text)
             assert err.value.line == line
+        # a count too long for int() gets the same cap message
+        with pytest.raises(FormatError, match="more than 100000 loops") as err:
+            parse_gauss_file("crossing c1 +\nloops " + "9" * 5000 + "\n")
+        assert err.value.line == 2
         # an endpoint used twice parses but fails validation
         shared = parse_gauss_file(
             "crossing c1 +\narc c1.3 c1.1 0\narc c1.3 c1.2 0\nloops 0\n"

@@ -174,6 +174,9 @@ class TestWitnessText:
             with pytest.raises(FormatError, match="shift count") as info:
                 parse_witness(f"m1 {shift}\n", start)
             assert info.value.line == 1
+        with pytest.raises(FormatError, match="m1 shift") as info:
+            parse_witness("m2+\nm1 " + "1" * 5000 + "\n", start)
+        assert info.value.line == 2
         with pytest.raises(FormatError, match="no arguments") as info:
             parse_witness("m2+ 3\n", start)
         assert info.value.line == 1
