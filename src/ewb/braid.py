@@ -187,7 +187,13 @@ def parse_word(text: str, strands: int) -> BraidWord:
         m = _TOKEN_RE.match(tok)
         if not m:
             raise ValueError(f"bad letter token {tok!r}")
-        letters.append(Letter(LetterKind(m.group(1)), int(m.group(2))))
+        # An index with more digits than ``strands`` is out of range; the
+        # length test keeps an over-long index from ``int``'s digit limit.
+        digits = m.group(2).lstrip("0") or "0"
+        if len(digits) > len(str(strands)):
+            shown = tok if len(tok) <= 20 else tok[:20] + "..."
+            raise ValueError(f"letter {shown} out of range on {strands} strands")
+        letters.append(Letter(LetterKind(m.group(1)), int(digits)))
     try:
         return BraidWord(strands, tuple(letters))
     except ValueError as exc:
@@ -302,13 +308,36 @@ class FreeGroupAutomorphism:
         return self.then(other)
 
 
+# A word's key is the tuple of its generator images, one free word per
+# strand.  Each letter added at either end of the word is one substitution
+# pass over the key, so the keys of a word's neighbours follow from its own.
+
+Images = tuple[tuple[int, ...], ...]
+
+
+def _append(images: Images, let: Letter) -> Images:
+    """The key of ``w let`` from the key of ``w``: substitute the letter's
+    table into every image."""
+    table = _letter_table(let)
+    return tuple([_substitute(w, table) for w in images])
+
+
+def _prepend(images: Images, let: Letter) -> Images:
+    """The key of ``let w`` from the key of ``w``: expand the letter's table
+    entries over the images; the other images are kept as they are."""
+    out = list(images)
+    table = {i + 1: w for i, w in enumerate(images)}
+    for i, entry in _letter_table(let).items():
+        out[i - 1] = _substitute(entry, table)
+    return tuple(out)
+
+
 def to_automorphism(b: BraidWord) -> FreeGroupAutomorphism:
     """The action of ``b`` on ``F_n``; equal words yield equal automorphisms."""
-    images = [tuple([i]) for i in range(1, b.strands + 1)]
+    images: Images = tuple([(i,) for i in range(1, b.strands + 1)])
     for let in b.letters:
-        table = _letter_table(let)
-        images = [_substitute(w, table) for w in images]
-    return FreeGroupAutomorphism(b.strands, tuple(FreeWord(w) for w in images))
+        images = _append(images, let)
+    return FreeGroupAutomorphism(b.strands, tuple([FreeWord(w) for w in images]))
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:

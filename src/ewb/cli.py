@@ -43,7 +43,6 @@ from .gauss import (
 )
 from .markov import (
     format_witness,
-    markov_search,
     mirror_word,
     parse_witness,
     replay_witness,
@@ -52,6 +51,7 @@ from .markov import (
     _check_cap,
     _linking_from,
     _normal_form,
+    _search,
     _search_limits,
     _signs_from,
 )
@@ -226,30 +226,27 @@ def _cmd_invariants(args) -> int:
 def _cmd_markov(args) -> int:
     a, b = _load(args.a, parse_word_file), _load(args.b, parse_word_file)
     _checked(_search_limits, a, b, args.max_degree, args.max_length, args.budget)
-    witness = markov_search(
+    witness, stop, nodes = _search(
         a, b, max_degree=args.max_degree, max_length=args.max_length, budget=args.budget
     )
+    machine = args.format == "machine"
     if witness is None:
-        if args.format == "machine":
-            print("found=false")
-        else:
-            print("inconclusive: no witness within the given limits")
-        return 1
-    text = format_witness(witness.moves)
-    if args.output is not None:
-        _emit(text, args.output)
-        if args.format == "machine":
-            print("found=true")
-            print(f"moves={len(witness.moves)}")
-        else:
-            print(f"found witness of {len(witness.moves)} moves")
-    elif args.format == "machine":
-        print("found=true")
-        print(f"moves={len(witness.moves)}")
-        print(f"witness={';'.join(m.token() for m in witness.moves)}")
+        print("found=false" if machine else "inconclusive: no witness within the given limits")
     else:
-        sys.stdout.write(text)
-    return 0
+        text = format_witness(witness.moves)
+        if args.output is not None:
+            _emit(text, args.output)
+        if machine:
+            print(f"found=true\nmoves={len(witness.moves)}")
+            if args.output is None:
+                print(f"witness={';'.join(m.token() for m in witness.moves)}")
+        elif args.output is not None:
+            print(f"found witness of {len(witness.moves)} moves")
+        else:
+            sys.stdout.write(text)
+    if machine:
+        print(f"stop={stop}\nnodes={nodes}")
+    return 1 if witness is None else 0
 
 
 def _cmd_replay(args) -> int:

@@ -324,7 +324,8 @@ def same_gauss_data(g1: GaussData, g2: GaussData) -> GaussIsomorphism | None:
         if image[2 * i] < 0 and not any(preimage[2 * j] < 0 and place(i, j) for j in order2):
             return None
     iso = GaussIsomorphism(tuple((c, ix2.ids[image[2 * i] >> 1]) for i, c in enumerate(ix1.ids)))
-    assert is_gauss_isomorphism(g1, g2, iso)
+    if not is_gauss_isomorphism(g1, g2, iso):  # a library fault, checked also under -O
+        raise RuntimeError("propagation built a crossing bijection that is not an isomorphism")
     return iso
 
 

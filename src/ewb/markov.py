@@ -35,8 +35,11 @@ from typing import Iterable, NamedTuple
 from .braid import (
     BraidWord,
     FormatError,
+    Images,
     Letter,
+    _append,
     _count,
+    _prepend,
     parse_word,
     rho,
     sigma,
@@ -328,16 +331,46 @@ def _linking_from(nf: _NormalForm) -> tuple[tuple[int, ...], ...]:
 # --- bounded bidirectional search ------------------------------------------
 
 
-def _aut_key(b: BraidWord) -> tuple:
-    images = to_automorphism(b).images
-    return (b.strands, tuple(image.letters for image in images))
+def _aut_key(b: BraidWord) -> Images:
+    """A word's state: its generator images, one per strand, so the key
+    also carries the degree."""
+    return tuple([image.letters for image in to_automorphism(b).images])
+
+
+def _conjugated(images: Images, let: Letter) -> Images:
+    """The key of ``let^-1 w let`` from the key of ``w``, in two passes."""
+    return _append(_prepend(images, let.inverse()), let)
+
+
+def _neighbor_key(
+    images: Images, letters: tuple[Letter, ...], kind: str, shift: int, rotation: tuple[int, Images]
+) -> Images:
+    """The state of the neighbour that move ``kind`` (and ``shift``) makes
+    of a word with ``letters`` and state ``images``, in one pass, or two per
+    letter an m1 moves.  ``rotation`` is the last rotation of the word keyed
+    so far, as ``(shift, state)``; ``(0, images)`` is the word itself.  An
+    m1 goes on from that rotation or back from the word's end, whichever
+    moves fewer letters."""
+    if kind == "m1":
+        done, state = rotation
+        if shift - done <= len(letters) - shift:
+            for let in letters[done:shift]:
+                state = _conjugated(state, let)
+            return state
+        for let in reversed(letters[shift:]):
+            images = _conjugated(images, let.inverse())
+        return images
+    if kind == "m2d":
+        return _append(images, letters[-1].inverse())[:-1]
+    n = len(images)
+    return _append(images + ((n + 1,),), _STAB_LETTER[kind](n))
 
 
 def _neighbors(
     w: BraidWord, max_degree: int, max_length: int
 ) -> list[tuple[str, int, int, tuple[Letter, ...]]]:
     """Moves out of ``w`` as ``(kind, shift, strands, letters)``; the search
-    builds the word only for a neighbor it has not seen."""
+    keys only a neighbor it has not seen."""
     n, letters = w.strands, w.letters
     out = [("m1", k, n, letters[k:] + letters[:k]) for k in range(1, len(letters))]
     if n + 1 <= max_degree and len(letters) + 1 <= max_length:
@@ -366,7 +399,8 @@ def _witness(a: BraidWord, b: BraidWord, parents: tuple[dict, dict], meet: tuple
         moves.append(MarkovMove("m0", word=BraidWord(*meet[1])))
     moves += [inverse_move(move, before) for before, move in reversed(_path(parents[1], meet[1]))]
     witness = MoveWitness(a, tuple(moves), b)
-    assert verify_witness(witness)
+    if not verify_witness(witness):  # a library fault, checked also under -O
+        raise RuntimeError("search built a witness that does not replay")
     return witness
 
 
@@ -403,41 +437,76 @@ def markov_search(
     and plus 6), and destabilization when it applies.  Each side stores two
     maps: ``parents``, from each word it reached (degree and letters) to the
     word and move it came from, which is also its visited set; and
-    ``first``, from each state (degree and induced automorphism, one
-    ``to_automorphism`` per stored word) to the first word that reached it,
-    used only to see the sides meet.  ``budget`` caps the words stored on
-    both sides together.  The witness is the literal chain from ``a`` to the
-    meeting word, one m0 if the two sides' meeting words differ, and the
-    other side's chain inverted back to ``b``.  Returns that verified
-    witness, or ``None`` when the space within the caps is exhausted or the
-    budget runs out -- which is always inconclusive.
+    ``first``, from each state (the induced automorphism's generator images)
+    to the first word that reached it and the stored images, used to see the
+    sides meet.  ``budget`` caps the words stored on both sides together.
+    The witness is the literal chain from ``a`` to the meeting word, one m0
+    if the two sides' meeting words differ, and the other side's chain
+    inverted back to ``b``.  Returns that verified witness, or ``None`` when
+    the space within the caps is exhausted or the budget runs out -- which
+    is always inconclusive.
+
+    Only the two roots are folded letter by letter.  Every queued word
+    carries its state, and each unseen neighbour's state is derived from it
+    (``_neighbor_key``), since a move changes the word by one letter at one
+    end: a stabilization adds the image ``x_{n+1}`` and substitutes the new
+    letter, and m2d substitutes the last letter's inverse and drops the top
+    image, one pass over the images each; m1 by ``k`` conjugates rotation
+    ``k - 1`` by its lead letter when this expansion keyed it (two passes),
+    else goes on from the last rotation keyed (at worst the word itself) or
+    back from the word's end, two passes per letter moved, whichever moves
+    fewer.  Expanding a word of length ``L`` whose neighbours are all unseen
+    thus costs about ``2L + 2`` passes, each linear in the images' length,
+    where folding every neighbour took about ``L**2``.  A queued word holds
+    the images stored in ``first`` for its state, so each side keeps one
+    copy of a state's images.
     """
+    return _search(a, b, max_degree=max_degree, max_length=max_length, budget=budget)[0]
+
+
+def _search(
+    a: BraidWord,
+    b: BraidWord,
+    *,
+    max_degree: int | None = None,
+    max_length: int | None = None,
+    budget: int = 100_000,
+) -> tuple[MoveWitness | None, str, int]:
+    """``markov_search`` with why it stopped -- ``found``, ``budget`` or
+    ``exhausted`` (no unseen word within the caps) -- and the number of
+    words stored on both sides."""
     max_degree, max_length = _search_limits(a, b, max_degree, max_length, budget)
     key_a, key_b = _aut_key(a), _aut_key(b)
     if key_a == key_b:
-        return MoveWitness(a, () if a == b else (MarkovMove("m0", word=b),), b)
+        return MoveWitness(a, () if a == b else (MarkovMove("m0", word=b),), b), "found", 2
 
     roots = ((a.strands, a.letters), (b.strands, b.letters))
     parents: tuple[dict, dict] = ({roots[0]: None}, {roots[1]: None})
-    first: tuple[dict, dict] = ({key_a: roots[0]}, {key_b: roots[1]})
-    queues: tuple[deque, deque] = (deque([a]), deque([b]))
+    first: tuple[dict, dict] = ({key_a: (roots[0], key_a)}, {key_b: (roots[1], key_b)})
+    queues: tuple[deque, deque] = (deque([(roots[0], key_a)]), deque([(roots[1], key_b)]))
 
     while queues[0] or queues[1]:
         side = 0 if queues[0] and (not queues[1] or len(queues[0]) <= len(queues[1])) else 1
-        word = queues[side].popleft()
-        here = (word.strands, word.letters)
+        here, images = queues[side].popleft()
+        word = BraidWord(*here)
+        rotation = (0, images)  # the last rotation keyed in this expansion
         for kind, shift, strands, letters in _neighbors(word, max_degree, max_length):
             there = (strands, letters)
             if there in parents[side]:
                 continue
             if len(parents[0]) + len(parents[1]) >= budget:
-                return None
+                return None, "budget", len(parents[0]) + len(parents[1])
             parents[side][there] = (here, kind, shift)
-            produced = BraidWord(strands, letters)
-            key = _aut_key(produced)
-            if key not in first[side]:
-                first[side][key] = there
+            key = _neighbor_key(images, word.letters, kind, shift, rotation)
+            stored = first[side].get(key)
+            if stored is None:
+                first[side][key] = (there, key)
                 if key in first[1 - side]:
-                    return _witness(a, b, parents, (first[0][key], first[1][key]))
-            queues[side].append(produced)
-    return None
+                    meet = (first[0][key][0], first[1][key][0])
+                    return _witness(a, b, parents, meet), "found", len(parents[0]) + len(parents[1])
+            else:
+                key = stored[1]  # keep the stored images, not a second copy
+            if kind == "m1":
+                rotation = (shift, key)
+            queues[side].append((there, key))
+    return None, "exhausted", len(parents[0]) + len(parents[1])

@@ -4,8 +4,9 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import braid_words, random_word
+from conftest import braid_words, random_word, stabilized_words
 from ewb import (
     BraidWord,
     FormatError,
@@ -30,6 +31,7 @@ from ewb import (
     word,
     words_equal,
 )
+from ewb.braid import _append, _prepend
 
 
 class TestLetters:
@@ -113,6 +115,17 @@ class TestWordFiles:
         with pytest.raises(FormatError) as err:
             parse_word_file("strands 2\ns1\ns1\n")
         assert err.value.line == 3
+
+    def test_letter_index_of_any_length_is_out_of_range(self):
+        with pytest.raises(ValueError, match=r"letter s1{19}\.\.\. out of range on 2 strands"):
+            parse_word("s" + "1" * 5000, 2)
+        with pytest.raises(FormatError, match="out of range on 2 strands") as err:
+            parse_word_file("strands 2\ns1 t" + "9" * 5000 + "\n")
+        assert err.value.line == 2
+        # leading zeros are not significant
+        assert parse_word("s" + "0" * 5000 + "1", 2) == word(2, sigma(1))
+        with pytest.raises(ValueError, match="letter s12 out of range on 9 strands"):
+            parse_word("s12", 9)
 
     @settings(max_examples=60, deadline=None)
     @given(braid_words())
@@ -243,3 +256,21 @@ def test_random_words_round_trip_through_text():
     for _ in range(50):
         w = random_word(rng, rng.randint(1, 6), rng.randint(0, 12))
         assert parse_word_file(format_word_file(w)) == w
+
+
+def _alphabet(n: int) -> list[Letter]:
+    """Every letter on ``n`` strands."""
+    return [make(i) for make in (sigma, sigma_inv, rho) for i in range(1, n)] + [
+        tau(i) for i in range(1, n + 1)
+    ]
+
+
+class TestOneLetterPasses:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
+    def test_append_and_prepend_match_the_fold(self, w):
+        key = lambda b: tuple(image.letters for image in to_automorphism(b).images)
+        images = key(w)
+        for let in _alphabet(w.strands):
+            assert _append(images, let) == key(BraidWord(w.strands, w.letters + (let,)))
+            assert _prepend(images, let) == key(BraidWord(w.strands, (let,) + w.letters))

@@ -65,6 +65,13 @@ class TestClose:
         assert code == 2
         assert "line 2" in err and "bad letter token" in err
 
+    def test_letter_index_of_any_length_is_an_error(self, capsys, write):
+        big = write("big.bw", "strands 2\ns" + "1" * 5000 + "\n")
+        code, out, err = run(capsys, "close", "--input", big)
+        assert code == 2 and out == ""
+        assert "line 2" in err and "out of range on 2 strands" in err
+        assert len(err) < 200
+
     def test_strand_count_above_the_file_limit_is_an_error(self, capsys, write):
         big = write("big.bw", "strands 10000000\n")
         code, out, err = run(capsys, "close", "--input", big)
@@ -236,7 +243,17 @@ class TestMarkovVerbs:
         b = word_file("b.bw", "r1 S1 r1", 2)
         code, out, _ = run(capsys, "markov", a, b, "--format", "machine")
         assert code == 0
-        assert out == "found=true\nmoves=4\nwitness=m2d;m2-;m0 S1 r1 r1;m1 2\n"
+        assert out == (
+            "found=true\nmoves=4\nwitness=m2d;m2-;m0 S1 r1 r1;m1 2\nstop=found\nnodes=36\n"
+        )
+
+    def test_machine_report_with_output_file(self, capsys, word_file, tmp_path):
+        a = word_file("a.bw", "s1", 2)
+        b = word_file("b.bw", "r1 S1 r1", 2)
+        witness = tmp_path / "w.txt"
+        code, out, _ = run(capsys, "markov", a, b, "--output", str(witness), "--format", "machine")
+        assert (code, out) == (0, "found=true\nmoves=4\nstop=found\nnodes=36\n")
+        assert witness.read_text() == "m2d\nm2-\nm0 S1 r1 r1\nm1 2\n"
 
     def test_replay_without_target_prints_the_result(self, capsys, word_file, write):
         a = word_file("a.bw", "s1", 2)
@@ -260,12 +277,30 @@ class TestMarkovVerbs:
         code, _, err = run(capsys, "replay", a, w)
         assert code == 2 and "line 2" in err
 
+    def test_m0_letter_index_of_any_length_is_an_error(self, capsys, word_file, write):
+        a = word_file("a.bw", "s1", 2)
+        w = write("w.txt", "m1 0\nm0 s" + "1" * 5000 + "\n")
+        code, out, err = run(capsys, "replay", a, w)
+        assert code == 2 and out == ""
+        assert "line 2" in err and "out of range on 2 strands" in err
+        assert len(err) < 200
+
     def test_inconclusive_search(self, capsys, word_file):
         a = word_file("a.bw", "s1", 2)
         b = word_file("b.bw", "S1", 2)
         code, out, _ = run(capsys, "markov", a, b, "--budget", "1", "--format", "machine")
         assert code == 1
-        assert out == "found=false\n"
+        assert out == "found=false\nstop=budget\nnodes=2\n"
+
+    def test_exhausted_search(self, capsys, word_file):
+        # The Hopf link and the unknot on at most 2 strands: five words in all
+        a = word_file("a.bw", "s1 s1", 2)
+        b = word_file("b.bw", "s1", 2)
+        code, out, _ = run(capsys, "markov", a, b, "--max-degree", "2", "--format", "machine")
+        assert code == 1
+        assert out == "found=false\nstop=exhausted\nnodes=5\n"
+        code, out, _ = run(capsys, "markov", a, b, "--max-degree", "2")
+        assert (code, out) == (1, "inconclusive: no witness within the given limits\n")
 
     def test_unwritable_witness_is_an_error(self, capsys, word_file, tmp_path):
         a = word_file("a.bw", "s1", 2)

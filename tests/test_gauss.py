@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ewb.gauss
 from conftest import braid_words, random_closable_word, stabilized_words
 from ewb import (
     Arc,
@@ -465,6 +466,13 @@ class TestIsomorphism:
         assert iso is not None and is_gauss_isomorphism(g, h, iso)
         assert same_gauss_data(g, closure(word(2, *[sigma(1)] * 18))) is None
         assert time.monotonic() - start < 5.0
+
+    def test_self_check_survives_optimization(self, l1, monkeypatch):
+        """A bijection that fails the closing check is a library fault: an
+        explicit RuntimeError, not an assert that ``python -O`` strips."""
+        monkeypatch.setattr(ewb.gauss, "is_gauss_isomorphism", lambda *args: False)
+        with pytest.raises(RuntimeError, match="not an isomorphism"):
+            same_gauss_data(l1, l1)
 
     def test_checker_rejects_wrong_maps(self, l1):
         assert same_gauss_data(l1, l1) is not None

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ewb.markov
-from conftest import random_closable_word, random_word
+from conftest import braid_words, random_closable_word, random_word, stabilized_words
 from ewb import (
     BraidWord,
     FormatError,
@@ -42,6 +42,7 @@ from ewb import (
     word,
     words_equal,
 )
+from ewb.markov import _neighbor_key, _search
 
 
 class TestMoves:
@@ -289,7 +290,57 @@ class TestSearch:
         monkeypatch.setattr(ewb.markov, "to_automorphism", counted)
         a, b = parse_word("r2 S2 s2 S2", 3), parse_word("r1 t1 s2 t2", 3)
         assert markov_search(a, b, budget=2000) is None
-        assert len(keyed) <= 2000
+        # the search folds only its two roots; every other key is derived
+        assert keyed == [a, b]
+
+    def test_a_wrong_witness_is_a_library_fault(self, monkeypatch):
+        """The closing check is an explicit RuntimeError, not an assert that
+        ``python -O`` strips."""
+        monkeypatch.setattr(ewb.markov, "verify_witness", lambda witness: False)
+        with pytest.raises(RuntimeError, match="does not replay"):
+            markov_search(parse_word("s1 r2", 3), parse_word("r2 s1", 3))
+
+    def test_reports_why_it_stopped(self):
+        a, b = word(2, sigma(1)), parse_word("r1 S1 r1", 2)
+        witness, stop, nodes = _search(a, b)
+        assert (witness, stop, nodes) == (markov_search(a, b), "found", 36)
+        assert _search(a, b, budget=1) == (None, "budget", 2)
+        hopf = parse_word("s1 s1", 2)
+        assert _search(hopf, a, max_degree=2) == (None, "exhausted", 5)
+        assert _search(a, a) == (MoveWitness(a, (), a), "found", 2)
+
+
+def _key(w: BraidWord):
+    return tuple(image.letters for image in to_automorphism(w).images)
+
+
+class TestDerivedKeys:
+    """The search derives each neighbour's key from its parent's; every
+    derivation must equal the neighbour's own fold."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
+    def test_rotations(self, w):
+        letters = w.letters
+        rotations = [_key(w.rotated(k)) for k in range(len(letters))]
+        for k in range(1, len(letters)):
+            for done in range(k):  # the last rotation keyed: the word or any before k
+                derived = _neighbor_key(rotations[0], letters, "m1", k, (done, rotations[done]))
+                assert derived == rotations[k]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
+    def test_stabilizations_and_destabilization(self, w):
+        images = _key(w)
+        for kind in ("m2+", "m2-", "m2w"):
+            stabilized = apply_move(w, MarkovMove(kind))
+            assert _neighbor_key(images, w.letters, kind, 0, (0, images)) == _key(stabilized)
+            # and back: every stabilized word destabilizes
+            derived = _neighbor_key(_key(stabilized), stabilized.letters, "m2d", 0, (0, ()))
+            assert derived == images
+        if destab_applicable(w):
+            reduced = apply_move(w, MarkovMove("m2d"))
+            assert _neighbor_key(images, w.letters, "m2d", 0, (0, images)) == _key(reduced)
 
 
 def _random_chain(rng: random.Random, a: BraidWord, count: int) -> BraidWord:
