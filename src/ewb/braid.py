@@ -46,16 +46,25 @@ class FormatError(ValueError):
 _MAX_FILE_COUNT = 100_000
 
 
+def _fits(digits: str, cap: int) -> int | None:
+    """The value of a string of ASCII digits, or None when it is above
+    ``cap``; the length test keeps an over-long string from ``int``'s digit
+    limit."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(cap)) or int(digits) > cap:
+        return None
+    return int(digits)
+
+
 def _count(field: str, line: int, what: str, cap: int = _MAX_FILE_COUNT) -> int | None:
     """A count field's value, or None when it is not a plain ASCII decimal
-    number.  A value above ``cap`` is a ``FormatError`` on ``line``; the
-    length test keeps an over-long field from ``int``'s digit limit."""
+    number.  A value above ``cap`` is a ``FormatError`` on ``line``."""
     if not (field.isascii() and field.isdigit()):
         return None
-    digits = field.lstrip("0") or "0"
-    if len(digits) > len(str(cap)) or int(digits) > cap:
+    value = _fits(field, cap)
+    if value is None:
         raise FormatError(line, f"more than {cap} {what}")
-    return int(digits)
+    return value
 
 
 class NotClosableError(ValueError):
@@ -187,13 +196,11 @@ def parse_word(text: str, strands: int) -> BraidWord:
         m = _TOKEN_RE.match(tok)
         if not m:
             raise ValueError(f"bad letter token {tok!r}")
-        # An index with more digits than ``strands`` is out of range; the
-        # length test keeps an over-long index from ``int``'s digit limit.
-        digits = m.group(2).lstrip("0") or "0"
-        if len(digits) > len(str(strands)):
+        index = _fits(m.group(2), strands)
+        if index is None:
             shown = tok if len(tok) <= 20 else tok[:20] + "..."
             raise ValueError(f"letter {shown} out of range on {strands} strands")
-        letters.append(Letter(LetterKind(m.group(1)), int(digits)))
+        letters.append(Letter(LetterKind(m.group(1)), index))
     try:
         return BraidWord(strands, tuple(letters))
     except ValueError as exc:

@@ -349,17 +349,12 @@ def _neighbor_key(
     of a word with ``letters`` and state ``images``, in one pass, or two per
     letter an m1 moves.  ``rotation`` is the last rotation of the word keyed
     so far, as ``(shift, state)``; ``(0, images)`` is the word itself.  An
-    m1 goes on from that rotation or back from the word's end, whichever
-    moves fewer letters."""
+    m1 goes on from that rotation."""
     if kind == "m1":
         done, state = rotation
-        if shift - done <= len(letters) - shift:
-            for let in letters[done:shift]:
-                state = _conjugated(state, let)
-            return state
-        for let in reversed(letters[shift:]):
-            images = _conjugated(images, let.inverse())
-        return images
+        for let in letters[done:shift]:
+            state = _conjugated(state, let)
+        return state
     if kind == "m2d":
         return _append(images, letters[-1].inverse())[:-1]
     n = len(images)
@@ -453,11 +448,11 @@ def markov_search(
     letter, and m2d substitutes the last letter's inverse and drops the top
     image, one pass over the images each; m1 by ``k`` conjugates rotation
     ``k - 1`` by its lead letter when this expansion keyed it (two passes),
-    else goes on from the last rotation keyed (at worst the word itself) or
-    back from the word's end, two passes per letter moved, whichever moves
-    fewer.  Expanding a word of length ``L`` whose neighbours are all unseen
-    thus costs about ``2L + 2`` passes, each linear in the images' length,
-    where folding every neighbour took about ``L**2``.  A queued word holds
+    else goes on from the last rotation keyed (at worst the word itself),
+    two passes per letter moved.  The m1 neighbours of one expansion thus
+    move at most ``L - 1`` letters in all, and expanding a word of length
+    ``L`` costs at most about ``2L + 2`` passes, each linear in the images'
+    length, where folding every neighbour took about ``L**2``.  A queued word holds
     the images stored in ``first`` for its state, so each side keeps one
     copy of a state's images.
     """
