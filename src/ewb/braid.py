@@ -201,10 +201,7 @@ def parse_word(text: str, strands: int) -> BraidWord:
             shown = tok if len(tok) <= 20 else tok[:20] + "..."
             raise ValueError(f"letter {shown} out of range on {strands} strands")
         letters.append(Letter(LetterKind(m.group(1)), index))
-    try:
-        return BraidWord(strands, tuple(letters))
-    except ValueError as exc:
-        raise ValueError(str(exc)) from None
+    return BraidWord(strands, tuple(letters))
 
 
 def parse_word_file(text: str) -> BraidWord:

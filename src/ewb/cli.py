@@ -266,9 +266,15 @@ def _cmd_replay(args) -> int:
     return 0 if equal else 1
 
 
+# The relation check's cost grows as n**4: seconds at 32 strands, weeks at 1000.
+_MAX_RELATION_STRANDS = 32
+
+
 def _cmd_verify_relations(args) -> int:
     if args.n < 1:
         raise _InputError(f"--n must be at least 1, got {args.n}")
+    if args.n > _MAX_RELATION_STRANDS:
+        raise _InputError(f"--n must be at most {_MAX_RELATION_STRANDS}")
     checked, failures = verify_relations(args.n)
     if args.format == "machine":
         print(f"checked={checked}")

@@ -30,7 +30,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .braid import (
     BraidWord,
@@ -342,38 +342,31 @@ def _conjugated(images: Images, let: Letter) -> Images:
     return _append(_prepend(images, let.inverse()), let)
 
 
-def _neighbor_key(
-    images: Images, letters: tuple[Letter, ...], kind: str, shift: int, rotation: tuple[int, Images]
-) -> Images:
-    """The state of the neighbour that move ``kind`` (and ``shift``) makes
-    of a word with ``letters`` and state ``images``, in one pass, or two per
-    letter an m1 moves.  ``rotation`` is the last rotation of the word keyed
-    so far, as ``(shift, state)``; ``(0, images)`` is the word itself.  An
-    m1 goes on from that rotation."""
-    if kind == "m1":
-        done, state = rotation
-        for let in letters[done:shift]:
-            state = _conjugated(state, let)
-        return state
-    if kind == "m2d":
-        return _append(images, letters[-1].inverse())[:-1]
-    n = len(images)
-    return _append(images + ((n + 1,),), _STAB_LETTER[kind](n))
-
-
-def _neighbors(
-    w: BraidWord, max_degree: int, max_length: int
-) -> list[tuple[str, int, int, tuple[Letter, ...]]]:
-    """Moves out of ``w`` as ``(kind, shift, strands, letters)``; the search
-    keys only a neighbor it has not seen."""
-    n, letters = w.strands, w.letters
-    out = [("m1", k, n, letters[k:] + letters[:k]) for k in range(1, len(letters))]
-    if n + 1 <= max_degree and len(letters) + 1 <= max_length:
-        for kind in ("m2+", "m2-", "m2w"):
-            out.append((kind, 0, n + 1, letters + (_STAB_LETTER[kind](n),)))
-    if destab_applicable(w):
-        out.append(("m2d", 0, n - 1, letters[:-1]))
-    return out
+def _moves(
+    here: tuple[int, tuple[Letter, ...]], images: Images, seen: dict, max_degree: int, max_length: int
+) -> Iterator[tuple[tuple[int, tuple[Letter, ...]], str, int, Images]]:
+    """Each move out of the word ``here`` (degree and letters) with state
+    ``images`` to a word not in ``seen``, as ``(there, kind, shift, state)``.
+    ``seen`` is read as each move comes up, so a word recorded since the
+    last yield is skipped.  An m1 goes on from the last rotation yielded."""
+    n, letters = here
+    done, rotated = 0, images
+    for k in range(1, len(letters)):
+        there = (n, letters[k:] + letters[:k])
+        if there not in seen:
+            for let in letters[done:k]:
+                rotated = _conjugated(rotated, let)
+            done = k
+            yield there, "m1", k, rotated
+    if n < max_degree and len(letters) < max_length:
+        for kind, make in _STAB_LETTER.items():
+            there = (n + 1, letters + (make(n),))
+            if there not in seen:
+                yield there, kind, 0, _append(images + ((n + 1,),), make(n))
+    if destab_applicable(BraidWord(*here)):
+        there = (n - 1, letters[:-1])
+        if there not in seen:
+            yield there, "m2d", 0, _append(images, letters[-1].inverse())[:-1]
 
 
 def _path(parents: dict, word: tuple) -> list[tuple[BraidWord, MarkovMove]]:
@@ -442,19 +435,19 @@ def markov_search(
     is always inconclusive.
 
     Only the two roots are folded letter by letter.  Every queued word
-    carries its state, and each unseen neighbour's state is derived from it
-    (``_neighbor_key``), since a move changes the word by one letter at one
-    end: a stabilization adds the image ``x_{n+1}`` and substitutes the new
-    letter, and m2d substitutes the last letter's inverse and drops the top
-    image, one pass over the images each; m1 by ``k`` conjugates rotation
-    ``k - 1`` by its lead letter when this expansion keyed it (two passes),
-    else goes on from the last rotation keyed (at worst the word itself),
-    two passes per letter moved.  The m1 neighbours of one expansion thus
-    move at most ``L - 1`` letters in all, and expanding a word of length
-    ``L`` costs at most about ``2L + 2`` passes, each linear in the images'
-    length, where folding every neighbour took about ``L**2``.  A queued word holds
-    the images stored in ``first`` for its state, so each side keeps one
-    copy of a state's images.
+    carries its state, and one generator, ``_moves``, yields each neighbour
+    the side has not seen together with its state, derived from the
+    parent's, since a move changes the word by one letter at one end: a
+    stabilization adds the image ``x_{n+1}`` and substitutes the new letter,
+    and m2d substitutes the last letter's inverse and drops the top image,
+    one pass over the images each; m1 by ``k`` goes on from the last
+    rotation yielded (at first the word itself), conjugating by each letter
+    it moves, two passes per letter.  The m1 neighbours of one expansion
+    thus move at most ``L - 1`` letters in all, and expanding a word of
+    length ``L`` costs at most about ``2L + 2`` passes, each linear in the
+    images' length, where folding every neighbour took about ``L**2``.  A
+    queued word holds the images stored in ``first`` for its state, so each
+    side keeps one copy of a state's images.
     """
     return _search(a, b, max_degree=max_degree, max_length=max_length, budget=budget)[0]
 
@@ -483,16 +476,10 @@ def _search(
     while queues[0] or queues[1]:
         side = 0 if queues[0] and (not queues[1] or len(queues[0]) <= len(queues[1])) else 1
         here, images = queues[side].popleft()
-        word = BraidWord(*here)
-        rotation = (0, images)  # the last rotation keyed in this expansion
-        for kind, shift, strands, letters in _neighbors(word, max_degree, max_length):
-            there = (strands, letters)
-            if there in parents[side]:
-                continue
+        for there, kind, shift, key in _moves(here, images, parents[side], max_degree, max_length):
             if len(parents[0]) + len(parents[1]) >= budget:
                 return None, "budget", len(parents[0]) + len(parents[1])
             parents[side][there] = (here, kind, shift)
-            key = _neighbor_key(images, word.letters, kind, shift, rotation)
             stored = first[side].get(key)
             if stored is None:
                 first[side][key] = (there, key)
@@ -501,7 +488,5 @@ def _search(
                     return _witness(a, b, parents, meet), "found", len(parents[0]) + len(parents[1])
             else:
                 key = stored[1]  # keep the stored images, not a second copy
-            if kind == "m1":
-                rotation = (shift, key)
             queues[side].append((there, key))
     return None, "exhausted", len(parents[0]) + len(parents[1])

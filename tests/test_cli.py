@@ -320,8 +320,8 @@ class TestRelationsVerb:
         code, out, _ = run(capsys, "verify-relations", "--n", "3", "--format", "machine")
         assert (code, out) == (0, "checked=28\nfailures=0\n")
 
-    @pytest.mark.parametrize("n", ["0", "-1"])
-    def test_n_below_one_is_an_error(self, capsys, n):
+    @pytest.mark.parametrize("n", ["0", "-1", "33", "1" + "0" * 29])
+    def test_n_out_of_range_is_an_error(self, capsys, n):
         code, out, err = run(capsys, "verify-relations", "--n", n)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "--n" in err

@@ -42,7 +42,7 @@ from ewb import (
     word,
     words_equal,
 )
-from ewb.markov import _neighbor_key, _search
+from ewb.markov import _moves, _search
 
 
 class TestMoves:
@@ -315,32 +315,32 @@ def _key(w: BraidWord):
 
 
 class TestDerivedKeys:
-    """The search derives each neighbour's key from its parent's; every
+    """``_moves`` derives each neighbour's key from its parent's; every
     derivation must equal the neighbour's own fold."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
-    def test_rotations(self, w):
-        letters = w.letters
-        rotations = [_key(w.rotated(k)) for k in range(len(letters))]
-        for k in range(1, len(letters)):
-            for done in range(k):  # the last rotation keyed: the word or any before k
-                derived = _neighbor_key(rotations[0], letters, "m1", k, (done, rotations[done]))
-                assert derived == rotations[k]
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
-    def test_stabilizations_and_destabilization(self, w):
-        images = _key(w)
-        for kind in ("m2+", "m2-", "m2w"):
-            stabilized = apply_move(w, MarkovMove(kind))
-            assert _neighbor_key(images, w.letters, kind, 0, (0, images)) == _key(stabilized)
-            # and back: every stabilized word destabilizes
-            derived = _neighbor_key(_key(stabilized), stabilized.letters, "m2d", 0, (0, ()))
-            assert derived == images
-        if destab_applicable(w):
-            reduced = apply_move(w, MarkovMove("m2d"))
-            assert _neighbor_key(images, w.letters, "m2d", 0, (0, images)) == _key(reduced)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)),
+        st.data(),
+    )
+    def test_moves_yield_each_unseen_neighbour_with_its_key(self, w, data):
+        here, images = (w.strands, w.letters), _key(w)
+        room = data.draw(st.booleans())  # whether the caps admit a stabilization
+        caps = (w.strands + room, len(w.letters) + room)
+        every = [move[:3] for move in _moves(here, images, {}, *caps)]
+        # a random seen subset, so that the rotations keyed have gaps
+        marked = data.draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+        seen = {there: None for (there, _, _), m in zip(every, marked) if m}
+        moves = list(_moves(here, images, seen, *caps))
+        assert [move[:3] for move in moves] == [move for move in every if move[0] not in seen]
+        assert any(kind in ("m2+", "m2-", "m2w") for _, kind, _ in every) == room
+        for there, kind, shift, state in moves:
+            neighbour = apply_move(w, MarkovMove(kind, shift=shift))
+            assert BraidWord(*there) == neighbour
+            assert state == _key(neighbour)
+            if kind != "m1" and kind != "m2d":  # and back: every stabilized word destabilizes
+                back = [move for move in _moves(there, state, {}, *caps) if move[1] == "m2d"]
+                assert back == [(here, "m2d", 0, images)]
 
 
 def _random_chain(rng: random.Random, a: BraidWord, count: int) -> BraidWord:
