@@ -318,6 +318,42 @@ class TestDerivedKeys:
     """``_moves`` derives each neighbour's key from its parent's; every
     derivation must equal the neighbour's own fold."""
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
+    def test_rotations(self, w):
+        here, letters = (w.strands, w.letters), w.letters
+        rotations = [_key(w.rotated(k)) for k in range(len(letters))]
+        for k in range(1, len(letters)):
+            for done in range(k):  # the last rotation keyed: the word or any before k
+                # rotations between are seen, unless they spell the k-th one
+                between = {letters[j:] + letters[:j] for j in range(done + 1, k)}
+                seen = {(w.strands, r): None for r in between - {letters[k:] + letters[:k]}}
+                derived = [
+                    state
+                    for _, kind, shift, state in _moves(here, rotations[0], seen, w.strands, 0)
+                    if kind == "m1" and shift == k
+                ]
+                assert derived == [rotations[k]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
+    def test_stabilizations_and_destabilization(self, w):
+        here, images = (w.strands, w.letters), _key(w)
+        caps = (w.strands + 1, len(w.letters) + 1)
+        derived = {kind: state for _, kind, _, state in _moves(here, images, {}, *caps) if kind != "m1"}
+        for kind in ("m2+", "m2-", "m2w"):
+            stabilized = apply_move(w, MarkovMove(kind))
+            assert derived[kind] == _key(stabilized)
+            # and back: every stabilized word destabilizes
+            there = (stabilized.strands, stabilized.letters)
+            back = [s for _, k, _, s in _moves(there, derived[kind], {}, *caps) if k == "m2d"]
+            assert back == [images]
+        if destab_applicable(w):
+            reduced = apply_move(w, MarkovMove("m2d"))
+            assert derived["m2d"] == _key(reduced)
+        else:
+            assert "m2d" not in derived
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)),
