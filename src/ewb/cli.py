@@ -33,6 +33,7 @@ from .braid import (
 from .closure import braid_from_gauss, closure
 from .gauss import (
     GaussData,
+    _wen_free_crossings,
     eliminate_wens,
     format_gauss_file,
     parse_gauss_file,
@@ -50,7 +51,6 @@ from .markov import (
     MoveWitness,
     _check_cap,
     _linking_from,
-    _normal_form,
     _search,
     _search_limits,
     _signs_from,
@@ -201,11 +201,10 @@ def _cmd_reduce_kinks(args) -> int:
 def _cmd_invariants(args) -> int:
     data = _load_valid(args.input, _parse_word_or_gauss)
     g = closure(data) if isinstance(data, BraidWord) else data
-    nf = _normal_form(g)  # shared by both invariants
-    _checked(_check_cap, nf, "sign")
-    mu = nf.cycles + g.loops
-    signs = _signs_from(nf)
-    linking = _linking_from(nf)
+    mu, crossings = _wen_free_crossings(g)  # shared by both invariants
+    _checked(_check_cap, mu)
+    signs = _signs_from(mu, crossings)
+    linking = _linking_from(mu, crossings)
     if args.format == "machine":
         print(f"components={mu}")
         print(f"loops={g.loops}")
@@ -223,8 +222,14 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+# A stored search node costs about 27 us and 0.5 KB, so a capped run stays near 1 GB.
+_MAX_SEARCH_BUDGET = 2_000_000
+
+
 def _cmd_markov(args) -> int:
     a, b = _load(args.a, parse_word_file), _load(args.b, parse_word_file)
+    if args.budget > _MAX_SEARCH_BUDGET:
+        raise _InputError(f"--budget must be at most {_MAX_SEARCH_BUDGET}")
     _checked(_search_limits, a, b, args.max_degree, args.max_length, args.budget)
     witness, stop, nodes = _search(
         a, b, max_degree=args.max_degree, max_length=args.max_length, budget=args.budget

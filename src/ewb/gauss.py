@@ -28,7 +28,7 @@ every component reverses every sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .braid import FormatError, _count
 
@@ -376,6 +376,32 @@ class WenElimination(NamedTuple):
     slides: tuple[Arc, ...]
 
 
+def _slid(ix: _Index, cycles: list[list[int]]) -> Iterator[int]:
+    """Passages whose out-arc ``eliminate_wens`` slides a wen along."""
+    bar = ix.bar
+    for cycle in cycles:
+        moving = 0
+        for p in cycle:
+            moving ^= bar[p]
+            if moving:
+                yield p
+
+
+def _wen_free_crossings(g: GaussData) -> tuple[int, list[tuple[int, int, int]]]:
+    """The link's component count (loops included) and, per crossing in id
+    order, its sign after ``eliminate_wens`` with the numbers of the cycles
+    (``components`` order) running over and under it.  One index build."""
+    ix, cycles = _require_valid(g)
+    succ, signs, cycle_of = ix.succ, ix.signs, [0] * len(ix.succ)
+    for p in _slid(ix, cycles):
+        if succ[p] & 1:  # the slide crosses an over-passage
+            signs[succ[p] >> 1] *= -1
+    for k, cycle in enumerate(cycles):
+        for p in cycle:
+            cycle_of[p] = k
+    return len(cycles) + g.loops, list(zip(signs, cycle_of[1::2], cycle_of[::2]))
+
+
 def eliminate_wens(g: GaussData) -> WenElimination:
     """Cancel all wens in pairs by forward slides, in a fixed order.
 
@@ -393,18 +419,14 @@ def eliminate_wens(g: GaussData) -> WenElimination:
     data, after sorting the crossing ids.
     """
     ix, cycles = _require_valid(g)
-    succ, bar, out, ids = ix.succ, ix.bar, ix.out, ix.ids
+    succ, out, ids = ix.succ, ix.out, ix.ids
     slides: list[Arc] = []
     flipped: set[str] = set()
-    for cycle in cycles:
-        moving = False
-        for p in cycle:
-            moving ^= bar[p]
-            if moving:
-                a = out[p]
-                slides.append(a if a.bar else Arc(a.source, a.target, 1))
-                if succ[p] & 1:
-                    flipped.add(ids[succ[p] >> 1])
+    for p in _slid(ix, cycles):
+        a = out[p]
+        slides.append(a if a.bar else Arc(a.source, a.target, 1))
+        if succ[p] & 1:
+            flipped.add(ids[succ[p] >> 1])
     if not slides:
         return WenElimination(g, frozenset(), ())
     # Sources are unique, so passage order is the canonical arc order.

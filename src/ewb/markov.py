@@ -30,7 +30,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .braid import (
     BraidWord,
@@ -48,7 +48,7 @@ from .braid import (
     to_automorphism,
     words_equal,
 )
-from .gauss import GaussData, components, eliminate_wens
+from .gauss import GaussData, _wen_free_crossings
 
 MOVE_KINDS = ("m0", "m1", "m2+", "m2-", "m2w", "m2d")
 
@@ -235,34 +235,10 @@ def mirror_word(b: BraidWord) -> BraidWord:
 # --- closure invariants ------------------------------------------------------
 
 
-class _NormalForm(NamedTuple):
-    """Wen-free form of a diagram, its number of passage cycles, and the
-    cycle running over and the one running under at each crossing."""
-
-    data: GaussData
-    cycles: int
-    over: dict[str, int]
-    under: dict[str, int]
-
-
-def _normal_form(g: GaussData) -> _NormalForm:
-    norm = eliminate_wens(g).data
-    comps = components(norm)
-    over: dict[str, int] = {}
-    under: dict[str, int] = {}
-    for ci, cycle in enumerate(comps):
-        for cid, in_slot, _out_slot in cycle:
-            if in_slot == 2:
-                over[cid] = ci
-            else:
-                under[cid] = ci
-    return _NormalForm(norm, len(comps), over, under)
-
-
-def _check_cap(nf: _NormalForm, name: str) -> None:
-    # At most 6 link components are supported; ``name`` labels the error.
-    if nf.cycles + nf.data.loops > 6:
-        raise ValueError(f"{name} canonicalization supports at most 6 components")
+def _check_cap(mu: int) -> None:
+    # The linking canonicalization minimizes over all mu! component orders.
+    if mu > 6:
+        raise ValueError("linking canonicalization supports at most 6 components")
 
 
 def sign_profile(g: GaussData) -> tuple[int, ...]:
@@ -271,61 +247,55 @@ def sign_profile(g: GaussData) -> tuple[int, ...]:
     Wens are eliminated first.  Elimination is only canonical up to
     full-loop slides (pairing the bars the other way around a component
     negates the complementary over-passages), so the sorted sign tuple is
-    minimized over all subsets of full-loop slides.  The result is constant
-    across words equal in the group and under conjugation, but it is not a
-    Markov invariant: the stabilizations ``m2+`` and ``m2-`` each add a
-    crossing.
+    minimized over all subsets of full-loop slides; the minimum is found
+    one component at a time, so any number of components is supported.
+    The result is constant across words equal in the group and under
+    conjugation, but it is not a Markov invariant: the stabilizations
+    ``m2+`` and ``m2-`` each add a crossing.
     """
-    return _signs_from(_normal_form(g))
+    return _signs_from(*_wen_free_crossings(g))
 
 
-def _signs_from(nf: _NormalForm) -> tuple[int, ...]:
-    _check_cap(nf, "sign")
+def _signs_from(mu: int, crossings: list[tuple[int, int, int]]) -> tuple[int, ...]:
     # The least sorted tuple has the most -1 entries.  A full-loop slide of
     # one cycle swaps that cycle's counts of negative and positive
     # over-crossings, so each cycle contributes the larger of the two.
-    counts = [[0, 0] for _ in range(nf.cycles)]
-    for cid, s in nf.data.crossings:
-        counts[nf.over[cid]][s > 0] += 1
+    counts = [[0, 0] for _ in range(mu)]
+    for sign, over, _ in crossings:
+        counts[over][sign > 0] += 1
     negative = sum(max(c) for c in counts)
-    return (-1,) * negative + (1,) * (len(nf.data.crossings) - negative)
+    return (-1,) * negative + (1,) * (len(crossings) - negative)
 
 
 def linking_invariant(g: GaussData) -> tuple[tuple[int, ...], ...]:
     """Canonicalized matrix of signed over/under counts between components.
 
-    The diagram is first normalized with :func:`eliminate_wens` (full-loop
-    slides negate one row at a time, so raw matrices are only well defined up
-    to row flips).  Entry ``(i, j)`` sums the signs of crossings where
-    component ``i`` runs over and ``j`` runs under, ``i != j``.  The result is
-    the lexicographic minimum over simultaneous row/column permutations
-    combined with per-row negations, which makes it invariant under component
-    renumbering, full-loop slides, and sign reversal.
+    The signs are read after :func:`eliminate_wens` (full-loop slides negate
+    one row at a time, so raw matrices are only well defined up to row
+    flips).  Entry ``(i, j)`` sums the signs of crossings where component
+    ``i`` runs over and ``j`` runs under, ``i != j``.  The result is the
+    lexicographic minimum over simultaneous row/column permutations combined
+    with per-row negations, which makes it invariant under component
+    renumbering, full-loop slides, and sign reversal.  The minimum ranges
+    over all ``mu!`` orders, so at most 6 components are supported; more
+    raise ``ValueError``.
     """
-    return _linking_from(_normal_form(g))
+    return _linking_from(*_wen_free_crossings(g))
 
 
-def _linking_from(nf: _NormalForm) -> tuple[tuple[int, ...], ...]:
-    _check_cap(nf, "linking")
-    mu = nf.cycles + nf.data.loops
-    if mu == 0:
-        return ()
+def _linking_from(mu: int, crossings: list[tuple[int, int, int]]) -> tuple[tuple[int, ...], ...]:
+    _check_cap(mu)
     matrix = [[0] * mu for _ in range(mu)]
-    for cid, sign in nf.data.crossings:
-        i, j = nf.over[cid], nf.under[cid]
+    for sign, i, j in crossings:
         if i != j:
             matrix[i][j] += sign
-    best: tuple[tuple[int, ...], ...] | None = None
-    for perm in permutations(range(mu)):
-        rows = []
+
+    def rows(perm: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         for i in perm:
             row = tuple(matrix[i][j] for j in perm)
-            rows.append(min(row, tuple(-x for x in row)))
-        candidate = tuple(rows)
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return best
+            yield min(row, tuple(-x for x in row))
+
+    return min(tuple(rows(perm)) for perm in permutations(range(mu)))
 
 
 # --- bounded bidirectional search ------------------------------------------

@@ -13,19 +13,18 @@ from ewb import BraidWord, closable, rho, sigma, sigma_inv, tau
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
+def _random_word(pick, strands: int, length: int) -> BraidWord:
+    """A word of ``length`` letters; ``pick(lo, hi)`` draws an integer in ``[lo, hi]``."""
     letters = []
     for _ in range(length):
-        kind = rng.randrange(4) if strands > 1 else 3
-        if kind == 0:
-            letters.append(sigma(rng.randint(1, strands - 1)))
-        elif kind == 1:
-            letters.append(sigma_inv(rng.randint(1, strands - 1)))
-        elif kind == 2:
-            letters.append(rho(rng.randint(1, strands - 1)))
-        else:
-            letters.append(tau(rng.randint(1, strands)))
+        kind = pick(0, 3) if strands > 1 else 3
+        make = (sigma, sigma_inv, rho, tau)[kind]
+        letters.append(make(pick(1, strands if make is tau else strands - 1)))
     return BraidWord(strands, tuple(letters))
+
+
+def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
+    return _random_word(rng.randint, strands, length)
 
 
 def random_closable_word(rng: random.Random, strands: int, length: int) -> BraidWord:
@@ -39,18 +38,7 @@ def random_closable_word(rng: random.Random, strands: int, length: int) -> Braid
 def braid_words(draw, max_strands: int = 5, max_length: int = 10) -> BraidWord:
     n = draw(st.integers(1, max_strands))
     length = draw(st.integers(0, max_length))
-    letters = []
-    for _ in range(length):
-        kind = draw(st.integers(0, 3)) if n > 1 else 3
-        if kind == 0:
-            letters.append(sigma(draw(st.integers(1, n - 1))))
-        elif kind == 1:
-            letters.append(sigma_inv(draw(st.integers(1, n - 1))))
-        elif kind == 2:
-            letters.append(rho(draw(st.integers(1, n - 1))))
-        else:
-            letters.append(tau(draw(st.integers(1, n))))
-    return BraidWord(n, tuple(letters))
+    return _random_word(lambda lo, hi: draw(st.integers(lo, hi)), n, length)
 
 
 @pytest.fixture

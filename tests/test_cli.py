@@ -2,7 +2,7 @@
 
 import pytest
 
-from ewb import closure, eliminate_wens, format_gauss_file, format_word_file, mirror_word, parse_word, word, sigma
+from ewb import closure, format_gauss_file, format_word_file, mirror_word, parse_word, word, sigma
 from ewb.cli import main
 
 L1 = "fixtures/l1.gd"
@@ -212,19 +212,22 @@ class TestInvariants:
         assert "components: 1" in out and "crossings: 1" in out
 
     def test_one_wen_elimination_per_run(self, capsys, monkeypatch):
-        from ewb import markov
+        # One passage index validates the file on load and one serves the
+        # wen walk of both invariants.
+        from ewb import gauss
 
-        calls = []
+        builds = []
 
-        def counting(g):
-            calls.append(g)
-            return eliminate_wens(g)
+        class Counting(gauss._Index):
+            def __init__(self, g):
+                builds.append(g)
+                super().__init__(g)
 
-        monkeypatch.setattr(markov, "eliminate_wens", counting)
+        monkeypatch.setattr(gauss, "_Index", Counting)
         for fmt in ("text", "machine"):
-            calls.clear()
+            builds.clear()
             code, _, _ = run(capsys, "invariants", "--input", L1, "--format", fmt)
-            assert code == 0 and len(calls) == 1
+            assert code == 0 and len(builds) == 2
 
 
 class TestMarkovVerbs:
@@ -343,6 +346,8 @@ class TestTopLevelErrors:
             ("markov", ("a.bw", "a.bw"), ("--max-degree", "1"), "degree cap is below"),
             ("invariants", ("--input", "seven.gd"), (), "at most 6 components"),
             ("close", ("--input", "binary.bw"), (), "binary.bw: 'utf-8' codec"),
+            ("markov", ("a.bw", "a.bw"), ("--budget", "2000001"), "--budget must be at most 2000000"),
+            ("markov", ("a.bw", "a.bw"), ("--budget", "1" + "0" * 29), "--budget must be at most"),
         ],
     )
     def test_inputs_are_checked_where_they_enter(self, capsys, tmp_path, verb, files, extra, message):

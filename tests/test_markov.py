@@ -4,7 +4,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ewb.markov
@@ -481,6 +481,16 @@ class TestSignProfile:
         assert raw(b) == (-1, 1, 1)  # elimination alone is not canonical
         assert sign_profile(closure(a)) == sign_profile(closure(b)) == (-1, -1, 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(), st.integers(1, 4))
+    @example(parse_word("s1 s1", 2), 6)  # the Hopf link and 6 loops
+    def test_empty_strands_leave_it_unchanged(self, w, pad):
+        # Each empty strand closes into a loop; the count is per component,
+        # so more than 6 components are fine.
+        assume(closable(w))
+        padded = BraidWord(w.strands + pad, w.letters)
+        assert sign_profile(closure(padded)) == sign_profile(closure(w))
+
     def test_invalid_data_is_rejected(self):
         from ewb import GaussData
 
@@ -514,3 +524,28 @@ class TestInvariance:
             assert len(components(ga)) + ga.loops == len(components(gb)) + gb.loops
             assert sign_profile(ga) == sign_profile(gb)
             assert linking_invariant(ga) == linking_invariant(gb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(braid_words(), stabilized_words()))
+    def test_every_move_kind_preserves_closure_invariants(self, w):
+        # Components and linking survive every m1/m2 move; the sign profile
+        # changes only where a move adds or removes a crossing.
+        assume(closable(w))
+
+        def invariants(b):
+            g = closure(b)
+            return len(components(g)) + g.loops, linking_invariant(g), sign_profile(g)
+
+        mu, linking, signs = invariants(w)
+        moves = [MarkovMove("m1", shift=k) for k in range(1, len(w.letters))]
+        moves += [MarkovMove(kind) for kind in ("m2+", "m2-", "m2w")]
+        if destab_applicable(w):
+            moves.append(MarkovMove("m2d"))
+        for move in moves:
+            got = invariants(apply_move(w, move))
+            assert got[:2] == (mu, linking), move
+            crossing_moved = move.kind in ("m2+", "m2-") or (
+                move.kind == "m2d" and w.letters[-1].kind.sign
+            )
+            if not crossing_moved:
+                assert got[2] == signs, move
