@@ -20,13 +20,16 @@ elements is decided through a faithful action on the free group
 
 Automorphisms compose left to right to match word concatenation: the
 automorphism of ``a * b`` applies ``a``'s action first.  Every image is a
-conjugate ``w x_j^e w^-1`` of a single generator or inverse generator;
+conjugate ``w x_j^e w^-1`` of a single generator or inverse generator, so
+equality keeps only the half ``w`` and the middle letter of each image and
+folds a word over the halves, one pass per letter, linear in their length.
 ``verify_relations`` checks the defining relation suite exhaustively and
 is the arbiter for these conventions.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -312,43 +315,140 @@ class FreeGroupAutomorphism:
         return self.then(other)
 
 
-# A word's key is the tuple of its generator images, one free word per
-# strand.  Each letter added at either end of the word is one substitution
-# pass over the key, so the keys of a word's neighbours follow from its own.
+# A word's key holds one ``(half, middle)`` pair per strand: the image of
+# x_i is ``half x_|middle|^sign(middle) half^-1``.  ``half`` is freely
+# reduced and does not end in ``x_|middle|^{+-1}``, so the pair is unique
+# and equal keys mean equal images.  Each letter added at either end of the
+# word is one substitution pass over the halves, linear in their length, so
+# the keys of a word's neighbours follow from its own.
 
-Images = tuple[tuple[int, ...], ...]
+Images = tuple[tuple[tuple[int, ...], int], ...]
+
+
+@functools.lru_cache(maxsize=4096)  # 100,000 strands admit 400,000 letters
+def _pass_tables(
+    kind: LetterKind, i: int
+) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[tuple[int, ...], int]]]:
+    """A letter's two tables, both keyed by signed generator: the image of
+    ``x_g^{+-1}`` as a reduced word, and the same image split as a conjugate
+    ``u x_k^f u^-1`` into ``(u, f k)``."""
+    pieces: dict[int, tuple[int, ...]] = {}
+    halves: dict[int, tuple[tuple[int, ...], int]] = {}
+    for g, image in _letter_table(Letter(kind, i)).items():
+        t = len(image) // 2
+        pieces[g], pieces[-g] = image, tuple([-h for h in reversed(image)])
+        halves[g], halves[-g] = (image[:t], image[t]), (image[:t], -image[t])
+    return pieces, halves
 
 
 def _append(images: Images, let: Letter) -> Images:
     """The key of ``w let`` from the key of ``w``: substitute the letter's
-    table into every image."""
-    table = _letter_table(let)
-    return tuple([_substitute(w, table) for w in images])
+    table into every half, append the half of the letter's image of the
+    middle generator, and strip the trailing middle letters."""
+    table, halves = _pass_tables(let.kind, let.index)
+    out_images = []
+    for half, middle in images:
+        out: list[int] = []
+        for g in half:
+            piece = table.get(g)
+            if piece is None:
+                if out and out[-1] == -g:
+                    out.pop()
+                else:
+                    out.append(g)
+            else:
+                for h in piece:
+                    if out and out[-1] == -h:
+                        out.pop()
+                    else:
+                        out.append(h)
+        entry = halves.get(middle)
+        if entry is not None:
+            u, middle = entry
+            for h in u:
+                if out and out[-1] == -h:
+                    out.pop()
+                else:
+                    out.append(h)
+        while out and (out[-1] == middle or out[-1] == -middle):
+            out.pop()
+        out_images.append((tuple(out), middle))
+    return tuple(out_images)
 
 
 def _prepend(images: Images, let: Letter) -> Images:
-    """The key of ``let w`` from the key of ``w``: expand the letter's table
-    entries over the images; the other images are kept as they are."""
-    out = list(images)
-    table = {i + 1: w for i, w in enumerate(images)}
-    for i, entry in _letter_table(let).items():
-        out[i - 1] = _substitute(entry, table)
-    return tuple(out)
+    """The key of ``let w`` from the key of ``w``: the letter sends each
+    generator it touches to ``u x_k^f u^-1``, whose image has the half
+    ``w(u) half_k``; the other pairs are kept as they are."""
+    out_images = list(images)
+    for g, (u, k) in _pass_tables(let.kind, let.index)[1].items():
+        if g < 0:
+            continue
+        out: list[int] = []
+        for c in u:
+            h, m = images[abs(c) - 1]
+            for x in (*h, m if c > 0 else -m, *[-y for y in reversed(h)]):
+                if out and out[-1] == -x:
+                    out.pop()
+                else:
+                    out.append(x)
+        half, middle = images[abs(k) - 1]
+        for x in half:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+        if k < 0:
+            middle = -middle
+        while out and (out[-1] == middle or out[-1] == -middle):
+            out.pop()
+        out_images[g - 1] = (tuple(out), middle)
+    return tuple(out_images)
+
+
+# Most half letters a fold may hold.  The fastest growth found, about 1.62
+# per letter, is that of (s1 S2)^k on 3 strands.  ``ewb eq-word`` on
+# (s1 S2)^20 and that word with its last two letters changed crosses the cap
+# in 6 s and peaks at 322 MB RSS under a 1 GiB address-space limit (Python
+# 3.11, shared 2-core machine); a pass can at most triple the halves, which
+# stays under 1 GiB.
+_MAX_HALF_LETTERS = 12_000_000
+
+
+class ImageCapError(Exception):
+    """A word's images outgrew ``_MAX_HALF_LETTERS``.  Not a ``ValueError``:
+    it is neither a negative verdict nor bad input."""
+
+
+def _fold(b: BraidWord) -> Images:
+    """The key of ``b``, one ``_append`` pass per letter; raises
+    ``ImageCapError`` when the halves outgrow ``_MAX_HALF_LETTERS``."""
+    images: Images = tuple([((), i) for i in range(1, b.strands + 1)])
+    bound = 0  # never below the half letters held: a pass at most
+    for let in b.letters:  # triples them and adds one letter to each half
+        images = _append(images, let)
+        bound = 3 * bound + b.strands
+        if bound > _MAX_HALF_LETTERS:
+            bound = sum([len(half) for half, _ in images])
+            if bound > _MAX_HALF_LETTERS:
+                raise ImageCapError(
+                    f"a word's free-group images exceed the cap of {_MAX_HALF_LETTERS} letters"
+                )
+    return images
 
 
 def to_automorphism(b: BraidWord) -> FreeGroupAutomorphism:
     """The action of ``b`` on ``F_n``; equal words yield equal automorphisms."""
-    images: Images = tuple([(i,) for i in range(1, b.strands + 1)])
-    for let in b.letters:
-        images = _append(images, let)
-    return FreeGroupAutomorphism(b.strands, tuple([FreeWord(w) for w in images]))
+    return FreeGroupAutomorphism(b.strands, tuple([
+        FreeWord(half + (middle,) + tuple([-g for g in reversed(half)])) for half, middle in _fold(b)
+    ]))
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:
     """Whether two words of equal degree represent the same group element."""
     if a.strands != b.strands:
         raise ValueError(f"degree mismatch: {a.strands} vs {b.strands}")
-    return to_automorphism(a) == to_automorphism(b)
+    return _fold(a) == _fold(b)
 
 
 # --- combinatorial strand data -------------------------------------------
@@ -479,6 +579,6 @@ def verify_relations(max_strands: int) -> tuple[int, list[str]]:
     for n in range(1, max_strands + 1):
         for label, lhs, rhs in presentation_relations(n):
             checked += 1
-            if to_automorphism(lhs) != to_automorphism(rhs):
+            if _fold(lhs) != _fold(rhs):
                 failures.append(f"n={n}: {label}")
     return checked, failures

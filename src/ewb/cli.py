@@ -4,8 +4,9 @@ Verbs operate on the flat word/Gauss-data/witness file formats and print
 either the produced artifact or a report.  Exit codes: 0 for success or a
 true verdict, 1 for a false verdict, a failed search, or an inconclusive
 result (the report says which), 2 for unreadable or malformed inputs,
-unwritable output files and misconfigured limits.  Inputs are checked where
-they enter, so a fault inside the library ends with a traceback instead.
+unwritable output files, misconfigured limits and words whose free-group
+images outgrow their cap.  Inputs are checked where they enter, so a fault
+inside the library ends with a traceback instead.
 
 Artifact-producing verbs (``close``, ``braid``, ``signrev-word``,
 ``signrev-gauss``, ``mirror``, ``eliminate-wens``, ``reduce-kinks``) write
@@ -24,6 +25,7 @@ from pathlib import Path
 from .braid import (
     BraidWord,
     FormatError,
+    ImageCapError,
     NotClosableError,
     format_word_file,
     parse_word_file,
@@ -362,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotClosableError as exc:
         print(f"not closable: {exc}", file=sys.stderr)
         return 2
-    except _InputError as exc:
+    except (_InputError, ImageCapError) as exc:  # the cap: eq-word, replay and markov fold words
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,15 +37,16 @@ from .braid import (
     FormatError,
     Images,
     Letter,
+    _INVERSE_KIND,
     _append,
     _count,
+    _fold,
     _prepend,
     parse_word,
     rho,
     sigma,
     sigma_inv,
     tau,
-    to_automorphism,
     words_equal,
 )
 from .gauss import GaussData, _wen_free_crossings
@@ -84,13 +85,17 @@ class MarkovMove:
 
 def destab_applicable(b: BraidWord) -> bool:
     """Whether ``m2d`` applies: final ``s/S/r`` letter alone on the top strand."""
-    n = b.strands
-    if n < 2 or not b.letters:
+    return _destab_applicable(b.strands, b.letters)
+
+
+def _destab_applicable(n: int, letters: tuple[Letter, ...]) -> bool:
+    """``destab_applicable`` on a degree and letters that already form a word."""
+    if n < 2 or not letters:
         return False
-    last = b.letters[-1]
+    last = letters[-1]
     if not last.kind.reach or last.index != n - 1:
         return False
-    return all(let.index + let.kind.reach < n for let in b.letters[:-1])
+    return all(let.index + let.kind.reach < n for let in letters[:-1])
 
 
 def apply_move(b: BraidWord, move: MarkovMove) -> BraidWord:
@@ -228,7 +233,8 @@ def mirror_word(b: BraidWord) -> BraidWord:
     """
     n = b.strands
     return BraidWord(n, tuple(
-        Letter(let.kind, n + 1 - let.kind.reach - let.index).inverse() for let in b.letters
+        Letter(_INVERSE_KIND.get(let.kind, let.kind), n + 1 - let.kind.reach - let.index)
+        for let in b.letters
     ))
 
 
@@ -301,12 +307,6 @@ def _linking_from(mu: int, crossings: list[tuple[int, int, int]]) -> tuple[tuple
 # --- bounded bidirectional search ------------------------------------------
 
 
-def _aut_key(b: BraidWord) -> Images:
-    """A word's state: its generator images, one per strand, so the key
-    also carries the degree."""
-    return tuple([image.letters for image in to_automorphism(b).images])
-
-
 def _conjugated(images: Images, let: Letter) -> Images:
     """The key of ``let^-1 w let`` from the key of ``w``, in two passes."""
     return _append(_prepend(images, let.inverse()), let)
@@ -332,8 +332,8 @@ def _moves(
         for kind, make in _STAB_LETTER.items():
             there = (n + 1, letters + (make(n),))
             if there not in seen:
-                yield there, kind, 0, _append(images + ((n + 1,),), make(n))
-    if destab_applicable(BraidWord(*here)):
+                yield there, kind, 0, _append(images + (((), n + 1),), make(n))
+    if _destab_applicable(n, letters):
         there = (n - 1, letters[:-1])
         if there not in seen:
             yield there, "m2d", 0, _append(images, letters[-1].inverse())[:-1]
@@ -395,12 +395,13 @@ def markov_search(
     and plus 6), and destabilization when it applies.  Each side stores two
     maps: ``parents``, from each word it reached (degree and letters) to the
     word and move it came from, which is also its visited set; and
-    ``first``, from each state (the induced automorphism's generator images)
-    to the first word that reached it and the stored images, used to see the
-    sides meet.  ``budget`` caps the words stored on both sides together.
-    The witness is the literal chain from ``a`` to the meeting word, one m0
-    if the two sides' meeting words differ, and the other side's chain
-    inverted back to ``b``.  Returns that verified witness, or ``None`` when
+    ``first``, from each state (the induced automorphism's generator images,
+    each stored as the half ``w`` and middle letter of its conjugate
+    ``w x_j^e w^-1``) to the first word that reached it and the stored
+    images, used to see the sides meet.  ``budget`` caps the words stored
+    on both sides together.  The witness is the literal chain from ``a`` to
+    the meeting word, one m0 if the two sides' meeting words differ, and the
+    other side's chain inverted back to ``b``.  Returns that verified witness, or ``None`` when
     the space within the caps is exhausted or the budget runs out -- which
     is always inconclusive.
 
@@ -408,14 +409,14 @@ def markov_search(
     carries its state, and one generator, ``_moves``, yields each neighbour
     the side has not seen together with its state, derived from the
     parent's, since a move changes the word by one letter at one end: a
-    stabilization adds the image ``x_{n+1}`` and substitutes the new letter,
-    and m2d substitutes the last letter's inverse and drops the top image,
-    one pass over the images each; m1 by ``k`` goes on from the last
-    rotation yielded (at first the word itself), conjugating by each letter
-    it moves, two passes per letter.  The m1 neighbours of one expansion
+    stabilization adds the image ``x_{n+1}`` (an empty half) and substitutes
+    the new letter, and m2d substitutes the last letter's inverse and drops
+    the top image, one pass over the halves each; m1 by ``k`` goes on from
+    the last rotation yielded (at first the word itself), conjugating by
+    each letter it moves, two passes per letter.  The m1 neighbours of one expansion
     thus move at most ``L - 1`` letters in all, and expanding a word of
     length ``L`` costs at most about ``2L + 2`` passes, each linear in the
-    images' length, where folding every neighbour took about ``L**2``.  A
+    halves' length, where folding every neighbour took about ``L**2``.  A
     queued word holds the images stored in ``first`` for its state, so each
     side keeps one copy of a state's images.
     """
@@ -434,7 +435,7 @@ def _search(
     ``exhausted`` (no unseen word within the caps) -- and the number of
     words stored on both sides."""
     max_degree, max_length = _search_limits(a, b, max_degree, max_length, budget)
-    key_a, key_b = _aut_key(a), _aut_key(b)
+    key_a, key_b = _fold(a), _fold(b)  # a state's images carry its degree
     if key_a == key_b:
         return MoveWitness(a, () if a == b else (MarkovMove("m0", word=b),), b), "found", 2
 

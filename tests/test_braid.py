@@ -31,7 +31,8 @@ from ewb import (
     word,
     words_equal,
 )
-from ewb.braid import _append, _prepend
+from ewb.braid import _append, _fold, _prepend
+from ewb.markov import _conjugated
 
 
 class TestLetters:
@@ -269,8 +270,66 @@ class TestOneLetterPasses:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
     def test_append_and_prepend_match_the_fold(self, w):
-        key = lambda b: tuple(image.letters for image in to_automorphism(b).images)
-        images = key(w)
+        images = _fold(w)
         for let in _alphabet(w.strands):
-            assert _append(images, let) == key(BraidWord(w.strands, w.letters + (let,)))
-            assert _prepend(images, let) == key(BraidWord(w.strands, (let,) + w.letters))
+            assert _append(images, let) == _fold(BraidWord(w.strands, w.letters + (let,)))
+            assert _prepend(images, let) == _fold(BraidWord(w.strands, (let,) + w.letters))
+
+
+def _full_image_fold(b: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """The action of ``b`` as full images, substituting each letter's table
+    into every image with free cancellation: an oracle independent of the
+    half encoding."""
+    tables = {
+        "s": lambda i: {i: (i, i + 1, -i), i + 1: (i,)},
+        "S": lambda i: {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)},
+        "r": lambda i: {i: (i + 1,), i + 1: (i,)},
+        "t": lambda i: {i: (-i,)},
+    }
+    images = [(i,) for i in range(1, b.strands + 1)]
+    for let in b.letters:
+        table = tables[let.kind.value](let.index)
+        for k, image in enumerate(images):
+            out: list[int] = []
+            for g in image:
+                piece = table.get(abs(g), (abs(g),))
+                if g < 0:
+                    piece = tuple(-h for h in reversed(piece))
+                for h in piece:
+                    if out and out[-1] == -h:
+                        out.pop()
+                    else:
+                        out.append(h)
+            images[k] = tuple(out)
+    return tuple(images)
+
+
+def _assert_canonical(images) -> None:
+    """Every half is freely reduced and does not end in its middle letter
+    or that letter's inverse."""
+    for half, middle in images:
+        assert middle != 0
+        assert all(x != 0 and x != -y for x, y in zip(half, half[1:]))
+        assert not half or abs(half[-1]) != abs(middle)
+
+
+class TestHalves:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(braid_words(max_strands=6, max_length=10), stabilized_words(max_strands=3)))
+    def test_to_automorphism_matches_a_full_image_fold(self, w):
+        assert tuple(image.letters for image in to_automorphism(w).images) == _full_image_fold(w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
+    def test_passes_keep_the_canonical_form(self, w):
+        images = _fold(w)
+        _assert_canonical(images)
+        for let in _alphabet(w.strands):
+            _assert_canonical(_append(images, let))
+            _assert_canonical(_prepend(images, let))
+            _assert_canonical(_conjugated(images, let))
+
+    @pytest.mark.parametrize("k, letters", [(4, 135), (6, 931), (8, 6387), (10, 43783)])
+    def test_image_size_of_the_blow_up_family(self, k, letters):
+        w = BraidWord(3, (sigma(1), sigma_inv(2)) * k)
+        assert sum(len(image.letters) for image in to_automorphism(w).images) == letters

@@ -2,6 +2,7 @@
 
 import pytest
 
+import ewb.braid
 from ewb import closure, format_gauss_file, format_word_file, mirror_word, parse_word, word, sigma
 from ewb.cli import main
 
@@ -312,6 +313,31 @@ class TestMarkovVerbs:
         code, out, err = run(capsys, "markov", a, b, "--output", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "No such file or directory" in err
+
+
+class TestImageCap:
+    """Words whose free-group images outgrow the fold's cap end with one
+    line and exit 2, which no verdict uses, instead of running out of memory."""
+
+    BLOW_UP = " ".join(["s1 S2"] * 10)  # 43,783 image letters
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(ewb.braid, "_MAX_HALF_LETTERS", 1000)
+
+    def test_eq_word(self, capsys, word_file):
+        a = word_file("a.bw", self.BLOW_UP, 3)
+        b = word_file("b.bw", self.BLOW_UP[:-5] + "S1 s2", 3)
+        code, out, err = run(capsys, "eq-word", a, b)
+        assert (code, out) == (2, "")
+        assert err == "error: a word's free-group images exceed the cap of 1000 letters\n"
+
+    def test_replay_through_m0(self, capsys, word_file, write):
+        a = word_file("a.bw", self.BLOW_UP, 3)
+        w = write("w.txt", f"m0 {self.BLOW_UP}\n")
+        code, out, err = run(capsys, "replay", a, w)
+        assert (code, out) == (2, "")
+        assert err == "error: a word's free-group images exceed the cap of 1000 letters\n"
 
 
 class TestRelationsVerb:

@@ -42,6 +42,7 @@ from ewb import (
     word,
     words_equal,
 )
+from ewb.braid import _fold
 from ewb.markov import _moves, _search
 
 
@@ -285,9 +286,9 @@ class TestSearch:
 
         def counted(b):
             keyed.append(b)
-            return to_automorphism(b)
+            return _fold(b)
 
-        monkeypatch.setattr(ewb.markov, "to_automorphism", counted)
+        monkeypatch.setattr(ewb.markov, "_fold", counted)
         a, b = parse_word("r2 S2 s2 S2", 3), parse_word("r1 t1 s2 t2", 3)
         assert markov_search(a, b, budget=2000) is None
         # the search folds only its two roots; every other key is derived
@@ -310,10 +311,6 @@ class TestSearch:
         assert _search(a, a) == (MoveWitness(a, (), a), "found", 2)
 
 
-def _key(w: BraidWord):
-    return tuple(image.letters for image in to_automorphism(w).images)
-
-
 class TestDerivedKeys:
     """``_moves`` derives each neighbour's key from its parent's; every
     derivation must equal the neighbour's own fold."""
@@ -322,7 +319,7 @@ class TestDerivedKeys:
     @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
     def test_rotations(self, w):
         here, letters = (w.strands, w.letters), w.letters
-        rotations = [_key(w.rotated(k)) for k in range(len(letters))]
+        rotations = [_fold(w.rotated(k)) for k in range(len(letters))]
         for k in range(1, len(letters)):
             for done in range(k):  # the last rotation keyed: the word or any before k
                 # rotations between are seen, unless they spell the k-th one
@@ -338,19 +335,19 @@ class TestDerivedKeys:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
     def test_stabilizations_and_destabilization(self, w):
-        here, images = (w.strands, w.letters), _key(w)
+        here, images = (w.strands, w.letters), _fold(w)
         caps = (w.strands + 1, len(w.letters) + 1)
         derived = {kind: state for _, kind, _, state in _moves(here, images, {}, *caps) if kind != "m1"}
         for kind in ("m2+", "m2-", "m2w"):
             stabilized = apply_move(w, MarkovMove(kind))
-            assert derived[kind] == _key(stabilized)
+            assert derived[kind] == _fold(stabilized)
             # and back: every stabilized word destabilizes
             there = (stabilized.strands, stabilized.letters)
             back = [s for _, k, _, s in _moves(there, derived[kind], {}, *caps) if k == "m2d"]
             assert back == [images]
         if destab_applicable(w):
             reduced = apply_move(w, MarkovMove("m2d"))
-            assert derived["m2d"] == _key(reduced)
+            assert derived["m2d"] == _fold(reduced)
         else:
             assert "m2d" not in derived
 
@@ -360,7 +357,7 @@ class TestDerivedKeys:
         st.data(),
     )
     def test_moves_yield_each_unseen_neighbour_with_its_key(self, w, data):
-        here, images = (w.strands, w.letters), _key(w)
+        here, images = (w.strands, w.letters), _fold(w)
         room = data.draw(st.booleans())  # whether the caps admit a stabilization
         caps = (w.strands + room, len(w.letters) + room)
         every = [move[:3] for move in _moves(here, images, {}, *caps)]
@@ -373,7 +370,7 @@ class TestDerivedKeys:
         for there, kind, shift, state in moves:
             neighbour = apply_move(w, MarkovMove(kind, shift=shift))
             assert BraidWord(*there) == neighbour
-            assert state == _key(neighbour)
+            assert state == _fold(neighbour)
             if kind != "m1" and kind != "m2d":  # and back: every stabilized word destabilizes
                 back = [move for move in _moves(there, state, {}, *caps) if move[1] == "m2d"]
                 assert back == [(here, "m2d", 0, images)]
