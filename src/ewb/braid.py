@@ -21,17 +21,20 @@ elements is decided through a faithful action on the free group
 Automorphisms compose left to right to match word concatenation: the
 automorphism of ``a * b`` applies ``a``'s action first.  Every image is a
 conjugate ``w x_j^e w^-1`` of a single generator or inverse generator, so
-equality keeps only the half ``w`` and the middle letter of each image and
-folds a word over the halves, one pass per letter, linear in their length.
-``verify_relations`` checks the defining relation suite exhaustively and
-is the arbiter for these conventions.
+equality keeps only the half ``w`` and the middle letter of each image, as
+strings of one code point per letter, and folds a word over the halves, one
+pass per letter.  A pass is a few string operations over all halves at
+once, linear in their length: a one-to-one letter map, the conjugate image
+of the one generator that has a non-empty half, and one cut of the only
+cancellation this can leave.  ``verify_relations`` checks the defining
+relation suite exhaustively and is the arbiter for these conventions.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -94,14 +97,48 @@ class LetterKind(Enum):
     __hash__ = object.__hash__  # members are singletons; Enum hashes the name
 
 
-@dataclass(frozen=True)
 class Letter:
+    """One generator letter, with index ``i >= 1``.  ``Letter(kind, i)``
+    returns the one instance built for that pair, which carries its file
+    token; letters compare and hash by value and are immutable."""
+
+    __slots__ = ("kind", "index", "_token")
+    __match_args__ = ("kind", "index")
+
     kind: LetterKind
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"letter index must be >= 1, got {self.index}")
+    def __new__(cls, kind: LetterKind, index: int) -> Letter:
+        let = _LETTERS.get((kind, index))
+        if let is None:
+            if index < 1:
+                raise ValueError(f"letter index must be >= 1, got {index}")
+            let = object.__new__(cls)
+            token = f"{kind.value}{index}"
+            for name, value in (("kind", kind), ("index", index), ("_token", token)):
+                object.__setattr__(let, name, value)
+            _LETTERS[kind, index] = _BY_TOKEN[token] = let
+        return let
+
+    def __reduce__(self) -> tuple:
+        return Letter, (self.kind, self.index)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Letter:
+            return NotImplemented
+        return self.kind is other.kind and self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.index))
+
+    def __repr__(self) -> str:
+        return f"Letter(kind={self.kind!r}, index={self.index!r})"
 
     @property
     def is_sigma(self) -> bool:
@@ -113,12 +150,20 @@ class Letter:
         return self.kind.sign
 
     def inverse(self) -> Letter:
-        if self.kind.sign:
-            return Letter(_INVERSE_KIND[self.kind], self.index)
-        return self  # rho and tau are involutions
+        kind = _INVERSE_KIND.get(self.kind)
+        if kind is None:
+            return self  # rho and tau are involutions
+        return _LETTERS.get((kind, self.index)) or Letter(kind, self.index)
 
     def token(self) -> str:
-        return f"{self.kind.value}{self.index}"
+        return self._token
+
+
+# Every letter built so far, by (kind, index) and by canonical token.  A
+# letter costs about 300 bytes here, and the word files of at most 100,000
+# strands name at most 400,000 distinct letters.
+_LETTERS: dict[tuple[LetterKind, int], Letter] = {}
+_BY_TOKEN: dict[str, Letter] = {}
 
 
 _INVERSE_KIND = {
@@ -166,7 +211,7 @@ class BraidWord:
         return compose(self, other)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(self.strands, tuple(l.inverse() for l in reversed(self.letters)))
+        return BraidWord(self.strands, tuple([l.inverse() for l in reversed(self.letters)]))
 
     def rotated(self, k: int) -> BraidWord:
         """Move the first ``k`` letters to the end (conjugation by the prefix)."""
@@ -176,7 +221,7 @@ class BraidWord:
         return BraidWord(self.strands, self.letters[k:] + self.letters[:k])
 
     def tokens(self) -> str:
-        return " ".join(l.token() for l in self.letters)
+        return " ".join([l._token for l in self.letters])
 
 
 def word(strands: int, *letters: Letter) -> BraidWord:
@@ -194,8 +239,13 @@ _TOKEN_RE = re.compile(r"([sSrt])([0-9]+)$")
 
 def parse_word(text: str, strands: int) -> BraidWord:
     """Parse a whitespace-separated token stream into a word on ``strands``."""
+    tokens = text.split()
+    try:  # every token names a letter built before, and the word is valid
+        return BraidWord(strands, tuple([_BY_TOKEN[tok] for tok in tokens]))
+    except (KeyError, ValueError):
+        pass  # read the tokens one by one, for the first one's message
     letters = []
-    for tok in text.split():
+    for tok in tokens:
         m = _TOKEN_RE.match(tok)
         if not m:
             raise ValueError(f"bad letter token {tok!r}")
@@ -315,103 +365,152 @@ class FreeGroupAutomorphism:
         return self.then(other)
 
 
-# A word's key holds one ``(half, middle)`` pair per strand: the image of
-# x_i is ``half x_|middle|^sign(middle) half^-1``.  ``half`` is freely
-# reduced and does not end in ``x_|middle|^{+-1}``, so the pair is unique
-# and equal keys mean equal images.  Each letter added at either end of the
-# word is one substitution pass over the halves, linear in their length, so
-# the keys of a word's neighbours follow from its own.
+# A word's key is ``(halves, middles)``: the image of x_i is
+# ``halves[i-1] middles[i-1] halves[i-1]^-1``.  Both are written in the
+# letter code ``x_j -> chr(2j)``, ``x_j^-1 -> chr(2j + 1)``, so inverting a
+# letter flips the low bit of its code point, and a letter takes 1 to 4
+# bytes.  ``middles`` holds one letter per strand.  Each half is freely
+# reduced and does not end in its middle letter or that letter's inverse,
+# so the key is unique and equal keys mean equal images.  Each letter added
+# at either end of the word is one pass over the halves, so the keys of a
+# word's neighbours follow from its own.
 
-Images = tuple[tuple[tuple[int, ...], int], ...]
+Images = tuple[tuple[str, ...], str]
+
+_SEP = "\0"  # joins the halves of a pass; no letter code, nor is _TEMP
+_TEMP = "\1"
+
+
+def _code(g: int) -> str:
+    """The letter code of the signed generator ``g``."""
+    return chr(2 * g) if g > 0 else chr(1 - 2 * g)
+
+
+def _decode(half: str) -> tuple[int, ...]:
+    """The signed generators of a coded string."""
+    return tuple([-(o >> 1) if o & 1 else o >> 1 for o in map(ord, half)])
+
+
+def _identity(rank: int) -> Images:
+    """The key of the empty word on ``rank`` strands."""
+    return ("",) * rank, "".join(map(chr, range(2, 2 * rank + 2, 2)))
+
+
+@functools.lru_cache(maxsize=8)
+def _flip(rank: int) -> dict[int, int]:
+    """The ``str.translate`` table that inverts every letter of rank ``rank``."""
+    return {o: o ^ 1 for o in range(2, 2 * rank + 2)}
+
+
+def _join(a: str, b: str) -> str:
+    """The free reduction of ``a b`` for freely reduced ``a`` and ``b``."""
+    k, top = 0, min(len(a), len(b))
+    while k < top and ord(a[-1 - k]) ^ 1 == ord(b[k]):
+        k += 1
+    return a[:len(a) - k] + b[k:]
 
 
 @functools.lru_cache(maxsize=4096)  # 100,000 strands admit 400,000 letters
-def _pass_tables(
-    kind: LetterKind, i: int
-) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[tuple[int, ...], int]]]:
-    """A letter's two tables, both keyed by signed generator: the image of
-    ``x_g^{+-1}`` as a reduced word, and the same image split as a conjugate
-    ``u x_k^f u^-1`` into ``(u, f k)``."""
-    pieces: dict[int, tuple[int, ...]] = {}
-    halves: dict[int, tuple[tuple[int, ...], int]] = {}
+def _pass_tables(kind: LetterKind, i: int) -> tuple[
+    dict[int, str],
+    tuple[tuple[str, str], ...],
+    tuple[str, ...] | None,
+    tuple[tuple[int, str, str], ...],
+]:
+    """A letter's action, read from ``_letter_table`` as string operations.
+
+    ``table`` sends each touched letter to the middle of its image, for
+    ``str.translate``.  The map commutes with inversion and swaps pairs of
+    letters; ``steps`` runs each swap as three one-letter replacements
+    through ``_TEMP``.  Every image is a conjugate ``u x_k^f u^-1``, and at
+    most one generator has a non-empty half ``u``, of one letter; for it
+    ``conj`` is ``(c, C, u c u^-1, u C u^-1, u^-1 u, u, u^-1)``, where ``c``
+    is its image's middle and ``C`` the inverse, else None.  ``heads``
+    lists ``(g, u, c)`` for each touched positive generator ``g``."""
+    swap: dict[str, str] = {}
+    conj = None
+    heads = []
     for g, image in _letter_table(Letter(kind, i)).items():
         t = len(image) // 2
-        pieces[g], pieces[-g] = image, tuple([-h for h in reversed(image)])
-        halves[g], halves[-g] = (image[:t], image[t]), (image[:t], -image[t])
-    return pieces, halves
+        u, c, C = "".join(map(_code, image[:t])), _code(image[t]), _code(-image[t])
+        swap[_code(g)], swap[_code(-g)] = c, C
+        heads.append((g, u, c))
+        if u:
+            U = "".join(map(_code, (-h for h in reversed(image[:t]))))
+            conj = (c, C, u + c + U, u + C + U, U + u, u, U)
+    steps: list[tuple[str, str]] = []
+    for a, b in swap.items():
+        if a < b:
+            steps += [(a, _TEMP), (b, a), (_TEMP, b)]
+    return {ord(a): b for a, b in swap.items()}, tuple(steps), conj, tuple(heads)
 
 
 def _append(images: Images, let: Letter) -> Images:
     """The key of ``w let`` from the key of ``w``: substitute the letter's
-    table into every half, append the half of the letter's image of the
-    middle generator, and strip the trailing middle letters."""
-    table, halves = _pass_tables(let.kind, let.index)
-    out_images = []
-    for half, middle in images:
-        out: list[int] = []
-        for g in half:
-            piece = table.get(g)
-            if piece is None:
-                if out and out[-1] == -g:
-                    out.pop()
-                else:
-                    out.append(g)
-            else:
-                for h in piece:
-                    if out and out[-1] == -h:
-                        out.pop()
-                    else:
-                        out.append(h)
-        entry = halves.get(middle)
-        if entry is not None:
-            u, middle = entry
-            for h in u:
-                if out and out[-1] == -h:
-                    out.pop()
-                else:
-                    out.append(h)
-        while out and (out[-1] == middle or out[-1] == -middle):
-            out.pop()
-        out_images.append((tuple(out), middle))
-    return tuple(out_images)
+    action into every half, append the half of the letter's image of the
+    middle generator, and strip the trailing middle letters.
+
+    All halves go through each string operation as one string, joined by
+    ``_SEP``, so no pattern spans two halves.  The substituted half is
+    reduced once ``u^-1 u`` is cut out: ``u`` is one letter, neither ``c``
+    nor ``C``, and no two one-letter pieces cancel, so a cancellation needs
+    a piece ``u c u^-1`` or ``u C u^-1`` on one side and ``u^-1`` or ``u``
+    on the other, and what it leaves joins ``c`` or ``C`` to a letter that
+    cannot cancel it.  The substituted half ends in the image of its last
+    letter, in ``c`` or ``C`` after a cut, or in ``u^-1``, so only a half
+    whose new middle is ``c``, ``C``, ``u`` or ``u^-1`` can end in that
+    middle or take a tail."""
+    table, steps, conj, _ = _pass_tables(let.kind, let.index)
+    text, middles = _SEP.join(images[0]), images[1]
+    if middles.isascii():  # every generator is a middle, so the halves are ASCII too
+        text, middles = text.translate(table), middles.translate(table)
+    else:  # past ASCII, translate raises and catches a KeyError per letter it keeps
+        for old, new in steps:
+            text, middles = text.replace(old, new), middles.replace(old, new)
+    if conj is None:  # a letter permutation: halves stay reduced and unstripped
+        return tuple(text.split(_SEP)), middles
+    c, C, cu, Cu, junction, u, U = conj
+    halves = text.replace(c, cu).replace(C, Cu).replace(junction, "").split(_SEP)
+    for middle in (c, C, u, U):
+        k = middles.find(middle)
+        while k >= 0:
+            half = halves[k]
+            if middle == c or middle == C:  # append u, or cancel a final u^-1
+                half = half[:-1] if half[-1:] == U else half + u
+            halves[k] = half.rstrip(middle + chr(ord(middle) ^ 1))
+            k = middles.find(middle, k + 1)
+    return tuple(halves), middles
 
 
 def _prepend(images: Images, let: Letter) -> Images:
     """The key of ``let w`` from the key of ``w``: the letter sends each
     generator it touches to ``u x_k^f u^-1``, whose image has the half
-    ``w(u) half_k``; the other pairs are kept as they are."""
-    out_images = list(images)
-    for g, (u, k) in _pass_tables(let.kind, let.index)[1].items():
-        if g < 0:
-            continue
-        out: list[int] = []
-        for c in u:
-            h, m = images[abs(c) - 1]
-            for x in (*h, m if c > 0 else -m, *[-y for y in reversed(h)]):
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
-        half, middle = images[abs(k) - 1]
-        for x in half:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        if k < 0:
-            middle = -middle
-        while out and (out[-1] == middle or out[-1] == -middle):
-            out.pop()
-        out_images[g - 1] = (tuple(out), middle)
-    return tuple(out_images)
+    ``w(u) half_k``; the other halves and middles are kept as they are."""
+    halves, middles = images
+    new_halves, new_middles = list(halves), list(middles)
+    for g, u, c in _pass_tables(let.kind, let.index)[3]:
+        k = (ord(c) >> 1) - 1
+        half, middle = halves[k], middles[k]
+        if ord(c) & 1:
+            middle = chr(ord(middle) ^ 1)
+        if u:  # one letter, whose image is h m h^-1
+            k = (ord(u) >> 1) - 1
+            h, m = halves[k], middles[k]
+            if ord(u) & 1:
+                m = chr(ord(m) ^ 1)
+            half = _join(h + m + h[::-1].translate(_flip(len(halves))), half)
+        new_halves[g - 1], new_middles[g - 1] = half.rstrip(middle + chr(ord(middle) ^ 1)), middle
+    return tuple(new_halves), "".join(new_middles)
 
 
 # Most half letters a fold may hold.  The fastest growth found, about 1.62
-# per letter, is that of (s1 S2)^k on 3 strands.  ``ewb eq-word`` on
-# (s1 S2)^20 and that word with its last two letters changed crosses the cap
-# in 6 s and peaks at 322 MB RSS under a 1 GiB address-space limit (Python
-# 3.11, shared 2-core machine); a pass can at most triple the halves, which
-# stays under 1 GiB.
+# per letter, is that of (s1 S2)^k on 3 strands.  A half letter costs 1 byte
+# below 128 strands, 2 below 32,768 and 4 above.  A pass holds the halves it
+# starts from, their joined copy and two substituted copies of at most three
+# times their length, so at most eight times the halves: under 400 MB at the
+# cap.  ``ewb eq-word`` on (s1 S2)^20 and that word with its last two
+# letters changed crosses the cap in 0.5-0.7 s and peaks at 89 MB RSS under
+# a 1 GiB address-space limit (Python 3.11, shared 2-core machine).
 _MAX_HALF_LETTERS = 12_000_000
 
 
@@ -423,13 +522,13 @@ class ImageCapError(Exception):
 def _fold(b: BraidWord) -> Images:
     """The key of ``b``, one ``_append`` pass per letter; raises
     ``ImageCapError`` when the halves outgrow ``_MAX_HALF_LETTERS``."""
-    images: Images = tuple([((), i) for i in range(1, b.strands + 1)])
+    images = _identity(b.strands)
     bound = 0  # never below the half letters held: a pass at most
     for let in b.letters:  # triples them and adds one letter to each half
         images = _append(images, let)
         bound = 3 * bound + b.strands
         if bound > _MAX_HALF_LETTERS:
-            bound = sum([len(half) for half, _ in images])
+            bound = sum(map(len, images[0]))
             if bound > _MAX_HALF_LETTERS:
                 raise ImageCapError(
                     f"a word's free-group images exceed the cap of {_MAX_HALF_LETTERS} letters"
@@ -439,9 +538,11 @@ def _fold(b: BraidWord) -> Images:
 
 def to_automorphism(b: BraidWord) -> FreeGroupAutomorphism:
     """The action of ``b`` on ``F_n``; equal words yield equal automorphisms."""
-    return FreeGroupAutomorphism(b.strands, tuple([
-        FreeWord(half + (middle,) + tuple([-g for g in reversed(half)])) for half, middle in _fold(b)
-    ]))
+    images = []
+    for half, middle in zip(*_fold(b)):
+        w = _decode(half)
+        images.append(FreeWord(w + _decode(middle) + tuple([-g for g in reversed(w)])))
+    return FreeGroupAutomorphism(b.strands, tuple(images))
 
 
 def words_equal(a: BraidWord, b: BraidWord) -> bool:

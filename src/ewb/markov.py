@@ -37,8 +37,11 @@ from .braid import (
     FormatError,
     Images,
     Letter,
+    LetterKind,
     _INVERSE_KIND,
+    _LETTERS,
     _append,
+    _code,
     _count,
     _fold,
     _prepend,
@@ -218,7 +221,7 @@ def sign_reversal_word(b: BraidWord) -> BraidWord:
     out: list[Letter] = []
     for letter in b.letters:
         if letter.kind.sign:
-            r = rho(letter.index)
+            r = _LETTERS.get((LetterKind.RHO, letter.index)) or rho(letter.index)
             out += (r, letter.inverse(), r)
         else:
             out.append(letter)
@@ -232,10 +235,9 @@ def mirror_word(b: BraidWord) -> BraidWord:
     closure of the mirror is the sign reversal of the closure.
     """
     n = b.strands
-    return BraidWord(n, tuple(
-        Letter(_INVERSE_KIND.get(let.kind, let.kind), n + 1 - let.kind.reach - let.index)
-        for let in b.letters
-    ))
+    keys = [(_INVERSE_KIND.get(let.kind, let.kind), n + 1 - let.kind.reach - let.index)
+            for let in b.letters]
+    return BraidWord(n, tuple([_LETTERS.get(key) or Letter(*key) for key in keys]))
 
 
 # --- closure invariants ------------------------------------------------------
@@ -329,14 +331,16 @@ def _moves(
             done = k
             yield there, "m1", k, rotated
     if n < max_degree and len(letters) < max_length:
+        grown = (images[0] + ("",), images[1] + _code(n + 1))  # x_(n+1) fixed
         for kind, make in _STAB_LETTER.items():
             there = (n + 1, letters + (make(n),))
             if there not in seen:
-                yield there, kind, 0, _append(images + (((), n + 1),), make(n))
+                yield there, kind, 0, _append(grown, make(n))
     if _destab_applicable(n, letters):
         there = (n - 1, letters[:-1])
         if there not in seen:
-            yield there, "m2d", 0, _append(images, letters[-1].inverse())[:-1]
+            halves, middles = _append(images, letters[-1].inverse())
+            yield there, "m2d", 0, (halves[:-1], middles[:-1])
 
 
 def _path(parents: dict, word: tuple) -> list[tuple[BraidWord, MarkovMove]]:

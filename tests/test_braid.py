@@ -1,6 +1,8 @@
 """Letters, words, the free-group action, and the relation suite."""
 
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from ewb import (
     word,
     words_equal,
 )
-from ewb.braid import _append, _fold, _prepend
+from ewb.braid import _append, _code, _decode, _fold, _prepend
 from ewb.markov import _conjugated
 
 
@@ -51,6 +53,20 @@ class TestLetters:
     def test_index_must_be_positive(self):
         with pytest.raises(ValueError):
             Letter(LetterKind.SIGMA_POS, 0)
+
+    def test_value_semantics(self):
+        let = Letter(kind=LetterKind.SIGMA_POS, index=2)
+        assert let == sigma(2) and hash(let) == hash((LetterKind.SIGMA_POS, 2))
+        assert let != sigma_inv(2) and let != sigma(1) and let != ("s", 2)
+        assert {let: 1}[Letter(LetterKind.SIGMA_POS, 2)] == 1
+        assert repr(let) == "Letter(kind=<LetterKind.SIGMA_POS: 's'>, index=2)"
+        with pytest.raises(FrozenInstanceError):
+            let.index = 3
+        with pytest.raises(FrozenInstanceError):
+            del let.kind
+        assert (let.kind, let.index, let.token()) == (LetterKind.SIGMA_POS, 2, "s2")
+        for kind in LetterKind:
+            assert pickle.loads(pickle.dumps(Letter(kind, 7))) == Letter(kind, 7)
 
 
 class TestWords:
@@ -127,6 +143,20 @@ class TestWordFiles:
         assert parse_word("s" + "0" * 5000 + "1", 2) == word(2, sigma(1))
         with pytest.raises(ValueError, match="letter s12 out of range on 9 strands"):
             parse_word("s12", 9)
+
+    def test_errors_do_not_depend_on_letters_read_before(self):
+        assert parse_word("s3 s5 s05", 6) == word(6, sigma(3), sigma(5), sigma(5))
+        with pytest.raises(ValueError, match="letter s5 out of range on 3 strands"):
+            parse_word("s5", 3)
+        # the first index above the strand count, not the first letter too wide
+        with pytest.raises(ValueError, match="letter s5 out of range on 3 strands"):
+            parse_word("s3 s5", 3)
+        with pytest.raises(ValueError, match="letter s05 out of range on 3 strands"):
+            parse_word("s05", 3)
+        with pytest.raises(ValueError, match="letter s3 out of range on 3 strands"):
+            parse_word("s3", 3)
+        with pytest.raises(ValueError, match="bad letter token 'x1'"):
+            parse_word("s1 x1 s5", 2)
 
     @settings(max_examples=60, deadline=None)
     @given(braid_words())
@@ -276,38 +306,48 @@ class TestOneLetterPasses:
             assert _prepend(images, let) == _fold(BraidWord(w.strands, (let,) + w.letters))
 
 
-def _full_image_fold(b: BraidWord) -> tuple[tuple[int, ...], ...]:
-    """The action of ``b`` as full images, substituting each letter's table
-    into every image with free cancellation: an oracle independent of the
-    half encoding."""
-    tables = {
-        "s": lambda i: {i: (i, i + 1, -i), i + 1: (i,)},
-        "S": lambda i: {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)},
-        "r": lambda i: {i: (i + 1,), i + 1: (i,)},
-        "t": lambda i: {i: (-i,)},
-    }
-    images = [(i,) for i in range(1, b.strands + 1)]
+_TABLES = {
+    "s": lambda i: {i: (i, i + 1, -i), i + 1: (i,)},
+    "S": lambda i: {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)},
+    "r": lambda i: {i: (i + 1,), i + 1: (i,)},
+    "t": lambda i: {i: (-i,)},
+}
+
+
+def _substituted(image: tuple[int, ...], let: Letter) -> tuple[int, ...]:
+    """``let``'s table substituted into ``image`` with free cancellation,
+    one letter at a time."""
+    table = _TABLES[let.kind.value](let.index)
+    out: list[int] = []
+    for g in image:
+        piece = table.get(abs(g), (abs(g),))
+        if g < 0:
+            piece = tuple(-h for h in reversed(piece))
+        for h in piece:
+            if out and out[-1] == -h:
+                out.pop()
+            else:
+                out.append(h)
+    return tuple(out)
+
+
+def _full_image_fold(b: BraidWord, first: int = 1) -> tuple[tuple[int, ...], ...]:
+    """The action of ``b`` as full images of ``x_first, ..., x_n``,
+    substituting each letter's table into every image with free
+    cancellation: an oracle independent of the half encoding."""
+    images = [(i,) for i in range(first, b.strands + 1)]
     for let in b.letters:
-        table = tables[let.kind.value](let.index)
-        for k, image in enumerate(images):
-            out: list[int] = []
-            for g in image:
-                piece = table.get(abs(g), (abs(g),))
-                if g < 0:
-                    piece = tuple(-h for h in reversed(piece))
-                for h in piece:
-                    if out and out[-1] == -h:
-                        out.pop()
-                    else:
-                        out.append(h)
-            images[k] = tuple(out)
+        images = [_substituted(image, let) for image in images]
     return tuple(images)
 
 
 def _assert_canonical(images) -> None:
     """Every half is freely reduced and does not end in its middle letter
     or that letter's inverse."""
-    for half, middle in images:
+    halves, middles = images
+    assert len(halves) == len(middles)
+    for half, middle in zip(halves, middles):
+        half, (middle,) = _decode(half), _decode(middle)
         assert middle != 0
         assert all(x != 0 and x != -y for x, y in zip(half, half[1:]))
         assert not half or abs(half[-1]) != abs(middle)
@@ -328,6 +368,38 @@ class TestHalves:
             _assert_canonical(_append(images, let))
             _assert_canonical(_prepend(images, let))
             _assert_canonical(_conjugated(images, let))
+
+    def test_one_pass_matches_letter_by_letter_reduction(self):
+        """Every reduced half of length <= 5 over x_1..x_3, under each
+        middle letter it may carry, through every letter on 3 strands."""
+        gens = (1, -1, 2, -2, 3, -3)
+        halves, frontier = [()], [()]
+        for _ in range(5):
+            frontier = [h + (g,) for h in frontier for g in gens if not h or h[-1] != -g]
+            halves += frontier
+        for middle in gens:
+            pairs = [h for h in halves if not h or abs(h[-1]) != abs(middle)]
+            images = tuple("".join(map(_code, h)) for h in pairs), _code(middle) * len(pairs)
+            for let in _alphabet(3):
+                got = _append(images, let)
+                _assert_canonical(got)
+                for h, half, mid in zip(pairs, *got):
+                    half = _decode(half)
+                    want = _substituted(h + (middle,) + tuple(-g for g in reversed(h)), let)
+                    assert half + _decode(mid) + tuple(-g for g in reversed(half)) == want
+
+    # Letter codes past ASCII, past Latin-1, in the surrogate range and
+    # past the Basic Multilingual Plane.
+    @pytest.mark.parametrize("n", [64, 129, 27700, 40000])
+    def test_to_automorphism_near_the_top_index(self, n):
+        rng = random.Random(n)
+        top = [make(i) for make in (sigma, sigma_inv, rho) for i in range(n - 3, n)]
+        top += [tau(i) for i in range(n - 3, n + 1)]
+        for _ in range(3):
+            w = BraidWord(n, tuple(rng.choice(top) for _ in range(8)))
+            images = tuple(image.letters for image in to_automorphism(w).images)
+            assert images[:n - 4] == tuple((i,) for i in range(1, n - 3))
+            assert images[n - 4:] == _full_image_fold(w, n - 3)
 
     @pytest.mark.parametrize("k, letters", [(4, 135), (6, 931), (8, 6387), (10, 43783)])
     def test_image_size_of_the_blow_up_family(self, k, letters):
