@@ -98,9 +98,12 @@ class LetterKind(Enum):
 
 
 class Letter:
-    """One generator letter, with index ``i >= 1``.  ``Letter(kind, i)``
-    returns the one instance built for that pair, which carries its file
-    token; letters compare and hash by value and are immutable."""
+    """One generator letter, with index ``i >= 1``, which carries its file
+    token; letters compare and hash by value and are immutable.  For
+    ``i <= _INTERNED_INDEX``, ``Letter(kind, i)`` returns the one instance
+    built for that pair and keeps it for the life of the process (about
+    300 bytes a letter, at most about 5 MB in all); a larger index builds a
+    new letter each time."""
 
     __slots__ = ("kind", "index", "_token")
     __match_args__ = ("kind", "index")
@@ -117,7 +120,8 @@ class Letter:
             token = f"{kind.value}{index}"
             for name, value in (("kind", kind), ("index", index), ("_token", token)):
                 object.__setattr__(let, name, value)
-            _LETTERS[kind, index] = _BY_TOKEN[token] = let
+            if index <= _INTERNED_INDEX:
+                _LETTERS[kind, index] = _BY_TOKEN[token] = let
         return let
 
     def __reduce__(self) -> tuple:
@@ -153,15 +157,15 @@ class Letter:
         kind = _INVERSE_KIND.get(self.kind)
         if kind is None:
             return self  # rho and tau are involutions
-        return _LETTERS.get((kind, self.index)) or Letter(kind, self.index)
+        return Letter(kind, self.index)
 
     def token(self) -> str:
         return self._token
 
 
-# Every letter built so far, by (kind, index) and by canonical token.  A
-# letter costs about 300 bytes here, and the word files of at most 100,000
-# strands name at most 400,000 distinct letters.
+# Every letter built so far with an index up to _INTERNED_INDEX, by
+# (kind, index) and by canonical token: at most 4 * _INTERNED_INDEX letters.
+_INTERNED_INDEX = 4096
 _LETTERS: dict[tuple[LetterKind, int], Letter] = {}
 _BY_TOKEN: dict[str, Letter] = {}
 
@@ -373,12 +377,13 @@ class FreeGroupAutomorphism:
 # reduced and does not end in its middle letter or that letter's inverse,
 # so the key is unique and equal keys mean equal images.  Each letter added
 # at either end of the word is one pass over the halves, so the keys of a
-# word's neighbours follow from its own.
+# word's neighbours follow from its own.  The largest code point,
+# 0x10FFFF, bounds the rank at _MAX_RANK strands.
 
 Images = tuple[tuple[str, ...], str]
 
-_SEP = "\0"  # joins the halves of a pass; no letter code, nor is _TEMP
-_TEMP = "\1"
+_MAX_RANK = (0x10FFFF - 1) // 2
+_SEP = "\0"  # joins the halves of a pass; no letter code
 
 
 def _code(g: int) -> str:
@@ -396,10 +401,10 @@ def _identity(rank: int) -> Images:
     return ("",) * rank, "".join(map(chr, range(2, 2 * rank + 2, 2)))
 
 
-@functools.lru_cache(maxsize=8)
-def _flip(rank: int) -> dict[int, int]:
+@functools.lru_cache(maxsize=8)  # at most 4 bytes per entry
+def _flip(rank: int) -> str:
     """The ``str.translate`` table that inverts every letter of rank ``rank``."""
-    return {o: o ^ 1 for o in range(2, 2 * rank + 2)}
+    return "".join(map(chr, [o ^ 1 for o in range(2 * rank + 2)]))
 
 
 def _join(a: str, b: str) -> str:
@@ -413,20 +418,18 @@ def _join(a: str, b: str) -> str:
 @functools.lru_cache(maxsize=4096)  # 100,000 strands admit 400,000 letters
 def _pass_tables(kind: LetterKind, i: int) -> tuple[
     dict[int, str],
-    tuple[tuple[str, str], ...],
     tuple[str, ...] | None,
     tuple[tuple[int, str, str], ...],
 ]:
     """A letter's action, read from ``_letter_table`` as string operations.
 
     ``table`` sends each touched letter to the middle of its image, for
-    ``str.translate``.  The map commutes with inversion and swaps pairs of
-    letters; ``steps`` runs each swap as three one-letter replacements
-    through ``_TEMP``.  Every image is a conjugate ``u x_k^f u^-1``, and at
-    most one generator has a non-empty half ``u``, of one letter; for it
-    ``conj`` is ``(c, C, u c u^-1, u C u^-1, u^-1 u, u, u^-1)``, where ``c``
-    is its image's middle and ``C`` the inverse, else None.  ``heads``
-    lists ``(g, u, c)`` for each touched positive generator ``g``."""
+    ``str.translate``; the map is one-to-one and commutes with inversion.
+    Every image is a conjugate ``u x_k^f u^-1``, and at most one generator
+    has a non-empty half ``u``, of one letter; for it ``conj`` is
+    ``(c, C, u c u^-1, u C u^-1, u^-1 u, u, u^-1)``, where ``c`` is its
+    image's middle and ``C`` the inverse, else None.  ``heads`` lists
+    ``(g, u, c)`` for each touched positive generator ``g``."""
     swap: dict[str, str] = {}
     conj = None
     heads = []
@@ -438,11 +441,7 @@ def _pass_tables(kind: LetterKind, i: int) -> tuple[
         if u:
             U = "".join(map(_code, (-h for h in reversed(image[:t]))))
             conj = (c, C, u + c + U, u + C + U, U + u, u, U)
-    steps: list[tuple[str, str]] = []
-    for a, b in swap.items():
-        if a < b:
-            steps += [(a, _TEMP), (b, a), (_TEMP, b)]
-    return {ord(a): b for a, b in swap.items()}, tuple(steps), conj, tuple(heads)
+    return {ord(a): b for a, b in swap.items()}, conj, tuple(heads)
 
 
 def _append(images: Images, let: Letter) -> Images:
@@ -460,13 +459,8 @@ def _append(images: Images, let: Letter) -> Images:
     letter, in ``c`` or ``C`` after a cut, or in ``u^-1``, so only a half
     whose new middle is ``c``, ``C``, ``u`` or ``u^-1`` can end in that
     middle or take a tail."""
-    table, steps, conj, _ = _pass_tables(let.kind, let.index)
-    text, middles = _SEP.join(images[0]), images[1]
-    if middles.isascii():  # every generator is a middle, so the halves are ASCII too
-        text, middles = text.translate(table), middles.translate(table)
-    else:  # past ASCII, translate raises and catches a KeyError per letter it keeps
-        for old, new in steps:
-            text, middles = text.replace(old, new), middles.replace(old, new)
+    table, conj, _ = _pass_tables(let.kind, let.index)
+    text, middles = _SEP.join(images[0]).translate(table), images[1].translate(table)
     if conj is None:  # a letter permutation: halves stay reduced and unstripped
         return tuple(text.split(_SEP)), middles
     c, C, cu, Cu, junction, u, U = conj
@@ -488,7 +482,7 @@ def _prepend(images: Images, let: Letter) -> Images:
     ``w(u) half_k``; the other halves and middles are kept as they are."""
     halves, middles = images
     new_halves, new_middles = list(halves), list(middles)
-    for g, u, c in _pass_tables(let.kind, let.index)[3]:
+    for g, u, c in _pass_tables(let.kind, let.index)[2]:
         k = (ord(c) >> 1) - 1
         half, middle = halves[k], middles[k]
         if ord(c) & 1:
@@ -515,13 +509,24 @@ _MAX_HALF_LETTERS = 12_000_000
 
 
 class ImageCapError(Exception):
-    """A word's images outgrew ``_MAX_HALF_LETTERS``.  Not a ``ValueError``:
-    it is neither a negative verdict nor bad input."""
+    """A word's key does not fit the letter code: its images outgrew
+    ``_MAX_HALF_LETTERS``, or its strands ``_MAX_RANK``.  Not a
+    ``ValueError``: it is neither a negative verdict nor bad input."""
+
+
+def _check_rank(n: int) -> None:
+    """Raise ``ImageCapError`` when keys on ``n`` strands leave the code."""
+    if n > _MAX_RANK:
+        raise ImageCapError(
+            f"free-group images on {n} strands exceed the cap of {_MAX_RANK} strands"
+        )
 
 
 def _fold(b: BraidWord) -> Images:
     """The key of ``b``, one ``_append`` pass per letter; raises
-    ``ImageCapError`` when the halves outgrow ``_MAX_HALF_LETTERS``."""
+    ``ImageCapError`` above ``_MAX_RANK`` strands or when the halves outgrow
+    ``_MAX_HALF_LETTERS``."""
+    _check_rank(b.strands)
     images = _identity(b.strands)
     bound = 0  # never below the half letters held: a pass at most
     for let in b.letters:  # triples them and adds one letter to each half

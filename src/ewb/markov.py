@@ -37,10 +37,9 @@ from .braid import (
     FormatError,
     Images,
     Letter,
-    LetterKind,
     _INVERSE_KIND,
-    _LETTERS,
     _append,
+    _check_rank,
     _code,
     _count,
     _fold,
@@ -221,7 +220,7 @@ def sign_reversal_word(b: BraidWord) -> BraidWord:
     out: list[Letter] = []
     for letter in b.letters:
         if letter.kind.sign:
-            r = _LETTERS.get((LetterKind.RHO, letter.index)) or rho(letter.index)
+            r = rho(letter.index)
             out += (r, letter.inverse(), r)
         else:
             out.append(letter)
@@ -235,9 +234,10 @@ def mirror_word(b: BraidWord) -> BraidWord:
     closure of the mirror is the sign reversal of the closure.
     """
     n = b.strands
-    keys = [(_INVERSE_KIND.get(let.kind, let.kind), n + 1 - let.kind.reach - let.index)
-            for let in b.letters]
-    return BraidWord(n, tuple([_LETTERS.get(key) or Letter(*key) for key in keys]))
+    return BraidWord(n, tuple([
+        Letter(_INVERSE_KIND.get(let.kind, let.kind), n + 1 - let.kind.reach - let.index)
+        for let in b.letters
+    ]))
 
 
 # --- closure invariants ------------------------------------------------------
@@ -370,7 +370,8 @@ def _search_limits(
     a: BraidWord, b: BraidWord, max_degree: int | None, max_length: int | None, budget: int
 ) -> tuple[int, int]:
     """The degree and length caps of a search, defaulted from the inputs;
-    raises ``ValueError`` when a limit leaves the inputs no room."""
+    raises ``ValueError`` when a limit leaves the inputs no room, and
+    ``ImageCapError`` when the degree cap is above the keys' strand cap."""
     if max_degree is None:
         max_degree = max(a.strands, b.strands) + 2
     if max_length is None:
@@ -381,6 +382,7 @@ def _search_limits(
         raise ValueError("degree cap is below the degree of an input word")
     if max_length < max(len(a.letters), len(b.letters)):
         raise ValueError("length cap is below the length of an input word")
+    _check_rank(max_degree)
     return max_degree, max_length
 
 

@@ -15,9 +15,12 @@ from ewb import (
     FreeWord,
     Letter,
     LetterKind,
+    MarkovMove,
+    MoveWitness,
     closable,
     compose,
     format_word_file,
+    markov_search,
     parse_word,
     parse_word_file,
     permutation_cycles,
@@ -29,11 +32,22 @@ from ewb import (
     to_automorphism,
     underlying_permutation,
     verify_relations,
+    verify_witness,
     wen_parity,
     word,
     words_equal,
 )
-from ewb.braid import _append, _code, _decode, _fold, _prepend
+from ewb.braid import (
+    _INTERNED_INDEX,
+    _LETTERS,
+    _MAX_RANK,
+    ImageCapError,
+    _append,
+    _code,
+    _decode,
+    _fold,
+    _prepend,
+)
 from ewb.markov import _conjugated
 
 
@@ -67,6 +81,17 @@ class TestLetters:
         assert (let.kind, let.index, let.token()) == (LetterKind.SIGMA_POS, 2, "s2")
         for kind in LetterKind:
             assert pickle.loads(pickle.dumps(Letter(kind, 7))) == Letter(kind, 7)
+
+    def test_letters_past_the_interned_index_are_built_afresh(self):
+        top = _INTERNED_INDEX
+        assert rho(top) is Letter(LetterKind.RHO, top)
+        kept = len(_LETTERS)
+        let = rho(top + 1)
+        assert let is not rho(top + 1)
+        assert let == rho(top + 1) and hash(let) == hash(rho(top + 1)) and let.token() == f"r{top + 1}"
+        assert parse_word(f"r{top + 1} S{top + 5}", top + 6).letters == (let, sigma_inv(top + 5))
+        assert pickle.loads(pickle.dumps(let)) == let
+        assert len(_LETTERS) == kept
 
 
 class TestWords:
@@ -222,6 +247,19 @@ class TestWordsEqual:
                            word(3, sigma(1), rho(2), rho(1)))
         assert words_equal(word(2, tau(2), sigma(1)),
                            word(2, rho(1), sigma_inv(1), rho(1), tau(1)))
+
+    def test_strands_up_to_the_top_code_point(self):
+        n = _MAX_RANK
+        assert chr(2 * n + 1) == "\U0010ffff"
+        assert words_equal(word(n, tau(n - 1), sigma(n - 1)), word(n, sigma(n - 1), tau(n)))
+        assert not words_equal(word(n, tau(n), sigma(n - 1)), word(n, sigma(n - 1), tau(n)))
+        over = BraidWord(n + 1)
+        with pytest.raises(ImageCapError, match=f"cap of {n} strands"):
+            words_equal(over, over)
+        with pytest.raises(ImageCapError):  # not read as "not equal"
+            verify_witness(MoveWitness(over, (MarkovMove("m0", word=over),), over))
+        with pytest.raises(ImageCapError):  # stabilizing would leave the code
+            markov_search(BraidWord(n), BraidWord(n))
 
     def test_distinguishes(self):
         assert not words_equal(word(2, sigma(1)), word(2, sigma_inv(1)))
