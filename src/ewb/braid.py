@@ -36,7 +36,7 @@ import functools
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 
 class FormatError(ValueError):
@@ -295,18 +295,6 @@ def format_word_file(b: BraidWord) -> str:
 class FreeWord:
     letters: tuple[int, ...] = ()
 
-    def conjugate_parts(self) -> tuple[FreeWord, int, int] | None:
-        """Split a reduced conjugate ``w x_j^e w^-1`` into (w, j, e), else None."""
-        n = len(self.letters)
-        if n % 2 == 0:
-            return None
-        half = n // 2
-        prefix = self.letters[:half]
-        if self.letters[half + 1:] != tuple(-g for g in reversed(prefix)):
-            return None
-        mid = self.letters[half]
-        return FreeWord(prefix), abs(mid), (1 if mid > 0 else -1)
-
 
 # Images of the generators under each letter.  Substitution tables keep the
 # letter action sparse: generators not listed map to themselves.
@@ -323,31 +311,11 @@ def _letter_table(let: Letter) -> dict[int, tuple[int, ...]]:
     return {i: (i + 1,), i + 1: (i,)}
 
 
-def _substitute(word: tuple[int, ...], table: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    out: list[int] = []
-    for g in word:
-        image = table.get(abs(g))
-        if image is None:
-            piece: Iterable[int] = (g,)
-        elif g > 0:
-            piece = image
-        else:
-            piece = (-h for h in reversed(image))
-        for h in piece:
-            if out and out[-1] == -h:
-                out.pop()
-            else:
-                out.append(h)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class FreeGroupAutomorphism:
-    """An automorphism of ``F_n`` given by generator images.
-
-    ``then`` composes left to right, matching word concatenation; the
-    product of two braid words maps to ``first.then(second)``.
-    """
+    """An automorphism of ``F_n`` given by generator images: the decoded
+    form of a word's action, as ``to_automorphism`` returns it.  The
+    action of a product is ``to_automorphism(compose(a, b))``."""
 
     rank: int
     images: tuple[FreeWord, ...]
@@ -355,18 +323,6 @@ class FreeGroupAutomorphism:
     def __post_init__(self) -> None:
         if len(self.images) != self.rank:
             raise ValueError("image count must equal rank")
-
-    def apply(self, w: FreeWord) -> FreeWord:
-        table = {i + 1: self.images[i].letters for i in range(self.rank)}
-        return FreeWord(_substitute(w.letters, table))
-
-    def then(self, other: FreeGroupAutomorphism) -> FreeGroupAutomorphism:
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return FreeGroupAutomorphism(self.rank, tuple(other.apply(w) for w in self.images))
-
-    def __mul__(self, other: FreeGroupAutomorphism) -> FreeGroupAutomorphism:
-        return self.then(other)
 
 
 # A word's key is ``(halves, middles)``: the image of x_i is
@@ -509,9 +465,11 @@ _MAX_HALF_LETTERS = 12_000_000
 
 
 class ImageCapError(Exception):
-    """A word's key does not fit the letter code: its images outgrew
-    ``_MAX_HALF_LETTERS``, or its strands ``_MAX_RANK``.  Not a
-    ``ValueError``: it is neither a negative verdict nor bad input."""
+    """A result outgrew its cap: a word's key does not fit the letter code,
+    its images past ``_MAX_HALF_LETTERS`` or its strands past
+    ``_MAX_RANK``, or a braided word passed
+    ``closure._MAX_BRAID_LETTERS``.  Not a ``ValueError``: it is neither a
+    negative verdict nor bad input."""
 
 
 def _check_rank(n: int) -> None:
@@ -584,35 +542,35 @@ def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
     return _strand_walk(b)[0]
 
 
-def _cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Cycles of ``perm`` (1-based images), each listed from its smallest
-    element, ordered by that smallest element."""
-    seen = [False] * (len(perm) + 1)
+def _cycles(succ: Sequence[int]) -> list[list[int]]:
+    """Cycles of the permutation ``succ`` of ``0 .. len(succ)-1``, each
+    listed from its smallest element, ordered by that smallest element.
+    A 1-based permutation ``perm`` walks as ``_cycles((0,) + perm)[1:]``."""
+    seen = [False] * len(succ)
     cycles = []
-    for start in range(1, len(perm) + 1):
+    for start in range(len(succ)):
         if seen[start]:
             continue
-        cycle = [start]
-        seen[start] = True
-        nxt = perm[start - 1]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt - 1]
-        cycles.append(tuple(cycle))
+        cycle = []
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            cycle.append(p)
+            p = succ[p]
+        cycles.append(cycle)
     return cycles
 
 
 def permutation_cycles(b: BraidWord) -> list[tuple[int, ...]]:
     """Cycles of the underlying permutation, each listed from its smallest
     strand, ordered by that smallest strand."""
-    return _cycles(underlying_permutation(b))
+    return [tuple(cycle) for cycle in _cycles((0,) + underlying_permutation(b))[1:]]
 
 
 def wen_parity(b: BraidWord) -> tuple[int, ...]:
     """Mod-2 wen count of each closure component (one per permutation cycle)."""
     perm, counts = _strand_walk(b)
-    return tuple(sum(counts[s - 1] for s in cyc) % 2 for cyc in _cycles(perm))
+    return tuple(sum(counts[s - 1] for s in cyc) % 2 for cyc in _cycles((0,) + perm)[1:])
 
 
 def closable(b: BraidWord) -> bool:

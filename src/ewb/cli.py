@@ -47,12 +47,10 @@ from .gauss import (
 from .markov import (
     format_witness,
     mirror_word,
-    parse_witness,
-    replay_witness,
     sign_reversal_word,
-    MoveWitness,
     _check_cap,
     _linking_from,
+    _parse_replay,
     _search,
     _search_limits,
     _signs_from,
@@ -224,7 +222,10 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-# A stored search node costs about 27 us and 0.5 KB, so a capped run stays near 1 GB.
+# A stored search node costs about 27 us and 0.5 KB on words of a few strands,
+# so a capped run stays near 1 GB and a minute there.  The time grows with the
+# degree: on 20,000-strand words a node costs about 7 ms, so a capped run
+# there would take hours.
 _MAX_SEARCH_BUDGET = 2_000_000
 
 
@@ -258,8 +259,7 @@ def _cmd_markov(args) -> int:
 
 def _cmd_replay(args) -> int:
     start = _load(args.word, parse_word_file)
-    moves = _load(args.witness, lambda text: parse_witness(text, start))
-    result = replay_witness(MoveWitness(start, moves, start))
+    _, result = _load(args.witness, lambda text: _parse_replay(text, start))
     if args.target is None:
         _emit(format_word_file(result), args.output)
         return 0
@@ -364,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotClosableError as exc:
         print(f"not closable: {exc}", file=sys.stderr)
         return 2
-    except (_InputError, ImageCapError) as exc:  # the cap: eq-word, replay and markov fold words
+    except (_InputError, ImageCapError) as exc:  # the caps: braid, and the verbs that fold words
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

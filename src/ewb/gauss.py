@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .braid import FormatError, _count
+from .braid import FormatError, _count, _cycles
 
 # A passage through a crossing, written (crossing id, in slot, out slot).
 # The only two passages of a crossing are (c, 1, 3) and (c, 2, 4).
@@ -165,43 +165,18 @@ class _Index:
                     if missing < 0:
                         raise ValueError(f"dangling endpoint {cid}.{slot}")
 
-    def cycles(self) -> list[list[int]]:
-        """Passage cycles, each from its smallest passage, ordered by those."""
-        succ = self.succ
-        seen = [False] * len(succ)
-        cycles = []
-        for start in range(len(succ)):
-            if seen[start]:
-                continue
-            cycle = []
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                cycle.append(p)
-                p = succ[p]
-            cycles.append(cycle)
-        return cycles
-
     def passage(self, p: int) -> Passage:
         return (self.ids[p >> 1], 1 + (p & 1), 3 + (p & 1))
-
-
-def _odd_cycle(ix: _Index, cycles: list[list[int]]) -> str | None:
-    bar = ix.bar
-    for k, cycle in enumerate(cycles, start=1):
-        if sum([bar[p] for p in cycle]) % 2:
-            return f"odd wen parity on component {k}"
-    return None
 
 
 def _require_valid(g: GaussData) -> tuple[_Index, list[list[int]]]:
     """The index of valid data and its passage cycles; raises ``ValueError``
     with the ``validate`` message otherwise."""
     ix = _Index(g)
-    cycles = ix.cycles()
-    problem = _odd_cycle(ix, cycles)
-    if problem is not None:
-        raise ValueError(problem)
+    cycles, bar = _cycles(ix.succ), ix.bar
+    for k, cycle in enumerate(cycles, start=1):
+        if sum([bar[p] for p in cycle]) % 2:
+            raise ValueError(f"odd wen parity on component {k}")
     return ix, cycles
 
 
@@ -213,7 +188,7 @@ def components(g: GaussData) -> list[tuple[Passage, ...]]:
     ``g.loops`` extra components.
     """
     ix = _Index(g)
-    return [tuple(map(ix.passage, cycle)) for cycle in ix.cycles()]
+    return [tuple(map(ix.passage, cycle)) for cycle in _cycles(ix.succ)]
 
 
 def component_arcs(g: GaussData, comp: tuple[Passage, ...]) -> list[Arc]:
@@ -229,10 +204,10 @@ def validate(g: GaussData) -> str | None:
     sorting the crossing ids.
     """
     try:
-        ix = _Index(g)
+        _require_valid(g)
     except ValueError as exc:
         return str(exc)
-    return _odd_cycle(ix, ix.cycles())
+    return None
 
 
 # --- isomorphism search ----------------------------------------------------
@@ -443,7 +418,7 @@ def full_loop_slide(g: GaussData, component: int) -> GaussData:
     in ``components`` order, then the crossing-free loops (no-ops).
     """
     ix = _Index(g)
-    cycles = ix.cycles()
+    cycles = _cycles(ix.succ)
     mu = len(cycles) + g.loops
     if not 0 <= component < mu:
         raise ValueError(f"component index {component} out of range for {mu} components")

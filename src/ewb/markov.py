@@ -170,6 +170,11 @@ def format_witness(moves: Iterable[MarkovMove]) -> str:
 
 def parse_witness(text: str, start: BraidWord) -> tuple[MarkovMove, ...]:
     """Parse one move per line, replaying from ``start`` to resolve degrees."""
+    return _parse_replay(text, start)[0]
+
+
+def _parse_replay(text: str, start: BraidWord) -> tuple[tuple[MarkovMove, ...], BraidWord]:
+    """``parse_witness``'s moves together with the word they replay to."""
     current = start
     moves: list[MarkovMove] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -201,7 +206,7 @@ def parse_witness(text: str, start: BraidWord) -> tuple[MarkovMove, ...]:
         except ValueError as exc:
             raise FormatError(lineno, str(exc)) from exc
         moves.append(move)
-    return tuple(moves)
+    return tuple(moves), current
 
 
 # --- word-level symmetry operators ----------------------------------------

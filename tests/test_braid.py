@@ -223,8 +223,10 @@ class TestAction:
     def test_action_is_a_homomorphism(self, a, b):
         if a.strands != b.strands:
             b = BraidWord(a.strands, ())
-        lhs = to_automorphism(compose(a, b))
-        rhs = to_automorphism(a).then(to_automorphism(b))
+        lhs = tuple(image.letters for image in to_automorphism(compose(a, b)).images)
+        # a's action first: b's images substituted into a's
+        table = {g: image.letters for g, image in enumerate(to_automorphism(b).images, start=1)}
+        rhs = tuple(_substituted(image.letters, table) for image in to_automorphism(a).images)
         assert lhs == rhs
 
     @settings(max_examples=40, deadline=None)
@@ -233,10 +235,13 @@ class TestAction:
         aut = to_automorphism(w)
         perm = underlying_permutation(w)
         for strand, image in enumerate(aut.images, start=1):
-            parts = image.conjugate_parts()
-            assert parts is not None
-            _, target, _ = parts
-            assert perm[strand - 1] == target
+            letters = image.letters  # h x_j^e h^-1, freely reduced
+            assert len(letters) % 2 == 1
+            half = len(letters) // 2
+            h, middle = letters[:half], letters[half]
+            assert letters[half + 1:] == tuple(-g for g in reversed(h))
+            assert not h or h[-1] != -middle
+            assert perm[strand - 1] == abs(middle)
 
 
 class TestWordsEqual:
@@ -352,10 +357,13 @@ _TABLES = {
 }
 
 
-def _substituted(image: tuple[int, ...], let: Letter) -> tuple[int, ...]:
-    """``let``'s table substituted into ``image`` with free cancellation,
-    one letter at a time."""
-    table = _TABLES[let.kind.value](let.index)
+def _table(let: Letter) -> dict[int, tuple[int, ...]]:
+    return _TABLES[let.kind.value](let.index)
+
+
+def _substituted(image: tuple[int, ...], table: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """``table`` substituted into ``image`` with free cancellation, one
+    letter at a time; generators not in ``table`` map to themselves."""
     out: list[int] = []
     for g in image:
         piece = table.get(abs(g), (abs(g),))
@@ -375,7 +383,7 @@ def _full_image_fold(b: BraidWord, first: int = 1) -> tuple[tuple[int, ...], ...
     cancellation: an oracle independent of the half encoding."""
     images = [(i,) for i in range(first, b.strands + 1)]
     for let in b.letters:
-        images = [_substituted(image, let) for image in images]
+        images = [_substituted(image, _table(let)) for image in images]
     return tuple(images)
 
 
@@ -423,7 +431,7 @@ class TestHalves:
                 _assert_canonical(got)
                 for h, half, mid in zip(pairs, *got):
                     half = _decode(half)
-                    want = _substituted(h + (middle,) + tuple(-g for g in reversed(h)), let)
+                    want = _substituted(h + (middle,) + tuple(-g for g in reversed(h)), _table(let))
                     assert half + _decode(mid) + tuple(-g for g in reversed(half)) == want
 
     # Letter codes past ASCII, past Latin-1, in the surrogate range and

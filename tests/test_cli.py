@@ -1,5 +1,7 @@
 """End-to-end command line coverage, run in process through ``main``."""
 
+import importlib
+
 import pytest
 
 import ewb.braid
@@ -265,6 +267,20 @@ class TestMarkovVerbs:
         code, out, _ = run(capsys, "replay", a, w)
         assert (code, out) == (0, "strands 2\ns1\n")
 
+    def test_replay_folds_each_word_once(self, capsys, monkeypatch, word_file, write):
+        # the m0 move folds its two words, and the target check two more
+        folds = []
+        fold = ewb.braid._fold
+        monkeypatch.setattr(ewb.braid, "_fold", lambda b: folds.append(b) or fold(b))
+        planted = "s1 S2 t1 t1 s1 S2 s1"
+        code, out, _ = run(
+            capsys, "replay", word_file("a.bw", "s1 S2 s1 S2 s1", 3),
+            write("w.txt", f"m0 {planted}\n"), "--target", word_file("b.bw", planted, 3),
+            "--format", "machine",
+        )
+        assert (code, out) == (0, f"equal=true\nresult={planted}\n")
+        assert len(folds) == 4
+
     def test_replay_mismatch(self, capsys, word_file, write):
         a = word_file("a.bw", "s1", 2)
         w = write("w.txt", "m2w\n")
@@ -338,6 +354,14 @@ class TestImageCap:
         code, out, err = run(capsys, "replay", a, w)
         assert (code, out) == (2, "")
         assert err == "error: a word's free-group images exceed the cap of 1000 letters\n"
+
+
+class TestBraidedWordCap:
+    def test_braid(self, capsys, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("ewb.closure"), "_MAX_BRAID_LETTERS", 13)
+        code, out, err = run(capsys, "braid", "--input", L1)
+        assert (code, out) == (2, "")
+        assert err == "error: the braided word exceeds the cap of 13 letters\n"
 
 
 class TestRelationsVerb:

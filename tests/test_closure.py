@@ -1,5 +1,6 @@
 """Closures of words and braiding of Gauss data."""
 
+import importlib
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from ewb import (
     wen_parity,
     word,
 )
+from ewb.braid import ImageCapError
 
 CLOSURE_S1 = """\
 crossing 1 +
@@ -137,6 +139,22 @@ class TestBraiding:
         )  # crossing with no arcs at all
         with pytest.raises(ValueError):
             braid_from_gauss(bad)
+
+
+class TestBraidedWordCap:
+    """A braided word longer than its cap raises ``ImageCapError`` instead
+    of running out of memory; the fixture braids to 14 letters, 2 of them
+    wens."""
+
+    @pytest.mark.parametrize("cap", [14, 15])
+    def test_a_word_up_to_the_cap_is_built(self, monkeypatch, l1_text, cap):
+        monkeypatch.setattr(importlib.import_module("ewb.closure"), "_MAX_BRAID_LETTERS", cap)
+        assert len(braid_from_gauss(parse_gauss_file(l1_text))) == 14
+
+    def test_a_word_past_the_cap_raises(self, monkeypatch, l1_text):
+        monkeypatch.setattr(importlib.import_module("ewb.closure"), "_MAX_BRAID_LETTERS", 13)
+        with pytest.raises(ImageCapError, match="braided word exceeds the cap of 13 letters"):
+            braid_from_gauss(parse_gauss_file(l1_text))
 
 
 class TestRoundTrips:
