@@ -222,10 +222,10 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-# A stored search node costs about 27 us and 0.5 KB on words of a few strands,
-# so a capped run stays near 1 GB and a minute there.  The time grows with the
-# degree: on 20,000-strand words a node costs about 7 ms, so a capped run
-# there would take hours.
+# A stored search node costs about 10 us and 0.4 KB on words of a few strands,
+# so a capped run stays under 1 GB and near half a minute there.  The time
+# grows with the degree: on 20,000-strand words a node costs about 7 ms, so a
+# capped run there would take hours.
 _MAX_SEARCH_BUDGET = 2_000_000
 
 

@@ -37,6 +37,7 @@ from .braid import (
     FormatError,
     Images,
     Letter,
+    LetterKind,
     _INVERSE_KIND,
     _append,
     _check_rank,
@@ -58,6 +59,27 @@ MOVE_KINDS = ("m0", "m1", "m2+", "m2-", "m2w", "m2d")
 _STAB_LETTER = {"m2+": sigma, "m2-": sigma_inv, "m2w": rho}
 # The stabilization that appends a letter of each kind, undoing m2d.
 _STAB_MOVE = {make(1).kind: kind for kind, make in _STAB_LETTER.items()}
+
+# The search codes letter ``i`` of kind number ``k`` (s, S, r, t are 0-3)
+# as the int ``4 * i + k``, so its words hash and compare in C.
+_KINDS = tuple(LetterKind)
+_KIND_NUMBER = {kind: k for k, kind in enumerate(_KINDS)}
+# Each stabilization with its letter maker and kind number.
+_STABS = tuple((kind, make, _KIND_NUMBER[make(1).kind]) for kind, make in _STAB_LETTER.items())
+
+
+def _coded(b: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """A word as the search stores it: its degree and its letter codes."""
+    return b.strands, tuple([4 * let.index + _KIND_NUMBER[let.kind] for let in b.letters])
+
+
+def _letter(code: int) -> Letter:
+    return Letter(_KINDS[code & 3], code >> 2)
+
+
+def _decoded(word: tuple[int, tuple[int, ...]]) -> BraidWord:
+    """The word a search word (degree and letter codes) stands for."""
+    return BraidWord(word[0], tuple([_letter(code) for code in word[1]]))
 
 
 @dataclass(frozen=True)
@@ -87,17 +109,19 @@ class MarkovMove:
 
 def destab_applicable(b: BraidWord) -> bool:
     """Whether ``m2d`` applies: final ``s/S/r`` letter alone on the top strand."""
-    return _destab_applicable(b.strands, b.letters)
+    return _destab_applicable(*_coded(b))
 
 
-def _destab_applicable(n: int, letters: tuple[Letter, ...]) -> bool:
-    """``destab_applicable`` on a degree and letters that already form a word."""
+def _destab_applicable(n: int, letters: tuple[int, ...]) -> bool:
+    """``destab_applicable`` on a degree and letter codes that already form
+    a word.  The letters that reach strand ``n`` are s, S and r on strand
+    ``n - 1``, coded ``top`` to ``top + 2``, and t on strand ``n``, coded
+    ``top + 7``; every code below ``top``, and ``top + 3`` (t on strand
+    ``n - 1``), leaves it alone."""
     if n < 2 or not letters:
         return False
-    last = letters[-1]
-    if not last.kind.reach or last.index != n - 1:
-        return False
-    return all(let.index + let.kind.reach < n for let in letters[:-1])
+    top = 4 * (n - 1)
+    return top <= letters[-1] < top + 3 and all(code < top or code == top + 3 for code in letters[:-1])
 
 
 def apply_move(b: BraidWord, move: MarkovMove) -> BraidWord:
@@ -320,9 +344,9 @@ def _conjugated(images: Images, let: Letter) -> Images:
 
 
 def _moves(
-    here: tuple[int, tuple[Letter, ...]], images: Images, seen: dict, max_degree: int, max_length: int
-) -> Iterator[tuple[tuple[int, tuple[Letter, ...]], str, int, Images]]:
-    """Each move out of the word ``here`` (degree and letters) with state
+    here: tuple[int, tuple[int, ...]], images: Images, seen: dict, max_degree: int, max_length: int
+) -> Iterator[tuple[tuple[int, tuple[int, ...]], str, int, Images]]:
+    """Each move out of the word ``here`` (degree and letter codes) with state
     ``images`` to a word not in ``seen``, as ``(there, kind, shift, state)``.
     ``seen`` is read as each move comes up, so a word recorded since the
     last yield is skipped.  An m1 goes on from the last rotation yielded."""
@@ -331,20 +355,20 @@ def _moves(
     for k in range(1, len(letters)):
         there = (n, letters[k:] + letters[:k])
         if there not in seen:
-            for let in letters[done:k]:
-                rotated = _conjugated(rotated, let)
+            for code in letters[done:k]:
+                rotated = _conjugated(rotated, _letter(code))
             done = k
             yield there, "m1", k, rotated
     if n < max_degree and len(letters) < max_length:
         grown = (images[0] + ("",), images[1] + _code(n + 1))  # x_(n+1) fixed
-        for kind, make in _STAB_LETTER.items():
-            there = (n + 1, letters + (make(n),))
+        for kind, make, number in _STABS:
+            there = (n + 1, letters + (4 * n + number,))
             if there not in seen:
                 yield there, kind, 0, _append(grown, make(n))
     if _destab_applicable(n, letters):
         there = (n - 1, letters[:-1])
         if there not in seen:
-            halves, middles = _append(images, letters[-1].inverse())
+            halves, middles = _append(images, _letter(letters[-1]).inverse())
             yield there, "m2d", 0, (halves[:-1], middles[:-1])
 
 
@@ -354,7 +378,7 @@ def _path(parents: dict, word: tuple) -> list[tuple[BraidWord, MarkovMove]]:
     path = []
     while parents[word] is not None:
         word, kind, shift = parents[word]
-        path.append((BraidWord(*word), MarkovMove(kind, shift=shift)))
+        path.append((_decoded(word), MarkovMove(kind, shift=shift)))
     path.reverse()
     return path
 
@@ -363,7 +387,7 @@ def _witness(a: BraidWord, b: BraidWord, parents: tuple[dict, dict], meet: tuple
     """Join the two sides' chains at the words ``meet`` that share a state."""
     moves = [move for _, move in _path(parents[0], meet[0])]
     if meet[0] != meet[1]:
-        moves.append(MarkovMove("m0", word=BraidWord(*meet[1])))
+        moves.append(MarkovMove("m0", word=_decoded(meet[1])))
     moves += [inverse_move(move, before) for before, move in reversed(_path(parents[1], meet[1]))]
     witness = MoveWitness(a, tuple(moves), b)
     if not verify_witness(witness):  # a library fault, checked also under -O
@@ -403,17 +427,21 @@ def markov_search(
 
     Neighbors are all m1 shifts, the three stabilizations (gated by
     ``max_degree`` and ``max_length``; defaults are the input maxima plus 2
-    and plus 6), and destabilization when it applies.  Each side stores two
-    maps: ``parents``, from each word it reached (degree and letters) to the
-    word and move it came from, which is also its visited set; and
-    ``first``, from each state (the induced automorphism's generator images,
-    each stored as the half ``w`` and middle letter of its conjugate
-    ``w x_j^e w^-1``) to the first word that reached it and the stored
-    images, used to see the sides meet.  ``budget`` caps the words stored
-    on both sides together.  The witness is the literal chain from ``a`` to
-    the meeting word, one m0 if the two sides' meeting words differ, and the
-    other side's chain inverted back to ``b``.  Returns that verified witness, or ``None`` when
-    the space within the caps is exhausted or the budget runs out -- which
+    and plus 6), and destabilization when it applies.  The search keys a
+    word by its degree and its letter codes, ``4 * index + k`` with s, S, r
+    and t numbered ``k`` = 0-3, so its lookups hash and compare ints; it
+    builds a letter from its code only to derive a state, and builds words
+    and moves only for the witness.  Each side stores two maps:
+    ``parents``, from each word it reached to the word and move it came
+    from, which is also its visited set; and ``first``, from each state (the
+    induced automorphism's generator images, each stored as the half ``w``
+    and middle letter of its conjugate ``w x_j^e w^-1``) to the first word
+    that reached it and the stored images, used to see the sides meet.
+    ``budget`` caps the words stored on both sides together.  The witness
+    is the literal chain from ``a`` to the meeting word, one m0 if the two
+    sides' meeting words differ, and the other side's chain inverted back
+    to ``b``.  Returns that verified witness, or ``None`` when the space
+    within the caps is exhausted or the budget runs out -- which
     is always inconclusive.
 
     Only the two roots are folded letter by letter.  Every queued word
@@ -450,7 +478,7 @@ def _search(
     if key_a == key_b:
         return MoveWitness(a, () if a == b else (MarkovMove("m0", word=b),), b), "found", 2
 
-    roots = ((a.strands, a.letters), (b.strands, b.letters))
+    roots = (_coded(a), _coded(b))
     parents: tuple[dict, dict] = ({roots[0]: None}, {roots[1]: None})
     first: tuple[dict, dict] = ({key_a: (roots[0], key_a)}, {key_b: (roots[1], key_b)})
     queues: tuple[deque, deque] = (deque([(roots[0], key_a)]), deque([(roots[1], key_b)]))

@@ -1,7 +1,9 @@
 """Markov moves, witnesses, the bounded search, and closure invariants."""
 
+import json
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -42,8 +44,8 @@ from ewb import (
     word,
     words_equal,
 )
-from ewb.braid import _fold
-from ewb.markov import _moves, _search
+from ewb.braid import _INTERNED_INDEX, _fold
+from ewb.markov import _coded, _moves, _search
 
 
 class TestMoves:
@@ -310,15 +312,46 @@ class TestSearch:
         assert _search(hopf, a, max_degree=2) == (None, "exhausted", 5)
         assert _search(a, a) == (MoveWitness(a, (), a), "found", 2)
 
+    def test_matches_the_pinned_search(self):
+        """``(witness, stop, nodes)`` on 150 seeded pairs, pinned from the
+        search that stored words as ``Letter`` tuples.  The pairs come from
+        ``random.Random(777)``: ``random_word`` on 2-4 strands of 1-7
+        letters; every odd pair's second word is the first after 1-3
+        ``_random_chain`` moves, every even pair's a second ``random_word``;
+        the caps are +1-3 degree and +1-5 length, the budgets 50/300/2000 in
+        turn."""
+        pins = json.loads((Path(__file__).parent / "search_pins.json").read_text())
+        for (na, ta), (nb, tb), (max_degree, max_length, budget), moves, stop, nodes in pins:
+            a, b = parse_word(ta, na), parse_word(tb, nb)
+            witness, got_stop, got_nodes = _search(a, b, max_degree=max_degree, max_length=max_length, budget=budget)
+            got = None if witness is None else [move.token() for move in witness.moves]
+            assert (got, got_stop, got_nodes) == (moves, stop, nodes), (ta, na, tb, nb)
+
+    def test_letters_past_the_interned_index(self):
+        # letters above the interned index are built afresh from their codes
+        n = 4200
+        assert n - 1 > _INTERNED_INDEX
+        a, b = parse_word(f"s{n - 1}", n), parse_word(f"r{n - 1} S{n - 1} r{n - 1}", n)
+        witness, stop, nodes = _search(a, b)
+        assert witness is not None and (stop, nodes) == ("found", 36)
+        assert [move.token() for move in witness.moves] == [
+            "m2d", "m2-", f"m0 S{n - 1} r{n - 1} r{n - 1}", "m1 2"
+        ]
+        assert verify_witness(witness)
+        end = replay_witness(witness)
+        assert end == b and end.letters[0] is not b.letters[0]  # equal by value
+
 
 class TestDerivedKeys:
     """``_moves`` derives each neighbour's key from its parent's; every
-    derivation must equal the neighbour's own fold."""
+    derivation must equal the neighbour's own fold.  Words go in and come
+    out as the search stores them, coded by ``_coded``."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
     def test_rotations(self, w):
-        here, letters = (w.strands, w.letters), w.letters
+        here = _coded(w)
+        letters = here[1]
         rotations = [_fold(w.rotated(k)) for k in range(len(letters))]
         for k in range(1, len(letters)):
             for done in range(k):  # the last rotation keyed: the word or any before k
@@ -335,14 +368,14 @@ class TestDerivedKeys:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(braid_words(max_strands=6, max_length=8), stabilized_words(max_strands=2)))
     def test_stabilizations_and_destabilization(self, w):
-        here, images = (w.strands, w.letters), _fold(w)
+        here, images = _coded(w), _fold(w)
         caps = (w.strands + 1, len(w.letters) + 1)
         derived = {kind: state for _, kind, _, state in _moves(here, images, {}, *caps) if kind != "m1"}
         for kind in ("m2+", "m2-", "m2w"):
             stabilized = apply_move(w, MarkovMove(kind))
             assert derived[kind] == _fold(stabilized)
             # and back: every stabilized word destabilizes
-            there = (stabilized.strands, stabilized.letters)
+            there = _coded(stabilized)
             back = [s for _, k, _, s in _moves(there, derived[kind], {}, *caps) if k == "m2d"]
             assert back == [images]
         if destab_applicable(w):
@@ -357,7 +390,7 @@ class TestDerivedKeys:
         st.data(),
     )
     def test_moves_yield_each_unseen_neighbour_with_its_key(self, w, data):
-        here, images = (w.strands, w.letters), _fold(w)
+        here, images = _coded(w), _fold(w)
         room = data.draw(st.booleans())  # whether the caps admit a stabilization
         caps = (w.strands + room, len(w.letters) + room)
         every = [move[:3] for move in _moves(here, images, {}, *caps)]
@@ -369,7 +402,7 @@ class TestDerivedKeys:
         assert any(kind in ("m2+", "m2-", "m2w") for _, kind, _ in every) == room
         for there, kind, shift, state in moves:
             neighbour = apply_move(w, MarkovMove(kind, shift=shift))
-            assert BraidWord(*there) == neighbour
+            assert there == _coded(neighbour)
             assert state == _fold(neighbour)
             if kind != "m1" and kind != "m2d":  # and back: every stabilized word destabilizes
                 back = [move for move in _moves(there, state, {}, *caps) if move[1] == "m2d"]
