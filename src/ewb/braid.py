@@ -28,6 +28,9 @@ once, linear in their length: a one-to-one letter map, the conjugate image
 of the one generator that has a non-empty half, and one cut of the only
 cancellation this can leave.  ``verify_relations`` checks the defining
 relation suite exhaustively and is the arbiter for these conventions.
+
+A word's strand data (permutation, cycles, wen parity) live in
+``closure.py``, read from the closure's strand walk.
 """
 
 from __future__ import annotations
@@ -71,10 +74,6 @@ def _count(field: str, line: int, what: str, cap: int = _MAX_FILE_COUNT) -> int 
     if value is None:
         raise FormatError(line, f"more than {cap} {what}")
     return value
-
-
-class NotClosableError(ValueError):
-    """A braid word with odd wen parity on some component cannot be closed."""
 
 
 class LetterKind(Enum):
@@ -300,8 +299,7 @@ class FreeWord:
 # letter action sparse: generators not listed map to themselves.
 
 
-def _letter_table(let: Letter) -> dict[int, tuple[int, ...]]:
-    i, kind = let.index, let.kind
+def _letter_table(kind: LetterKind, i: int) -> dict[int, tuple[int, ...]]:
     if not kind.reach:
         return {i: (-i,)}
     if kind.sign > 0:
@@ -357,7 +355,10 @@ def _identity(rank: int) -> Images:
     return ("",) * rank, "".join(map(chr, range(2, 2 * rank + 2, 2)))
 
 
-@functools.lru_cache(maxsize=8)  # at most 4 bytes per entry
+# Each table is a string of 2 * rank + 2 code points, and the cache keeps up
+# to 8 for the life of the process: sys.getsizeof measures 800 KB a table at
+# the 100,000-strand file cap and 4.46 MB at _MAX_RANK.
+@functools.lru_cache(maxsize=8)
 def _flip(rank: int) -> str:
     """The ``str.translate`` table that inverts every letter of rank ``rank``."""
     return "".join(map(chr, [o ^ 1 for o in range(2 * rank + 2)]))
@@ -389,7 +390,7 @@ def _pass_tables(kind: LetterKind, i: int) -> tuple[
     swap: dict[str, str] = {}
     conj = None
     heads = []
-    for g, image in _letter_table(Letter(kind, i)).items():
+    for g, image in _letter_table(kind, i).items():
         t = len(image) // 2
         u, c, C = "".join(map(_code, image[:t])), _code(image[t]), _code(-image[t])
         swap[_code(g)], swap[_code(-g)] = c, C
@@ -515,31 +516,7 @@ def words_equal(a: BraidWord, b: BraidWord) -> bool:
     return _fold(a) == _fold(b)
 
 
-# --- combinatorial strand data -------------------------------------------
-
-
-def _strand_walk(b: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The underlying permutation and the wens met by each strand, in one
-    walk: ``tau_i`` marks whichever strand occupies position ``i`` at that
-    point of the word."""
-    occupant = list(range(b.strands + 1))  # occupant[pos] = strand, 1-based
-    counts = [0] * (b.strands + 1)
-    for let in b.letters:
-        i = let.index
-        if let.kind.reach:
-            occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
-        else:
-            counts[occupant[i]] += 1
-    final = [0] * b.strands
-    for pos in range(1, b.strands + 1):
-        final[occupant[pos] - 1] = pos
-    return tuple(final), tuple(counts[1:])
-
-
-def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
-    """Position each strand ends at: entry ``s-1`` is the bottom position of
-    the strand starting at top position ``s``."""
-    return _strand_walk(b)[0]
+# --- permutation cycles -------------------------------------------------
 
 
 def _cycles(succ: Sequence[int]) -> list[list[int]]:
@@ -559,23 +536,6 @@ def _cycles(succ: Sequence[int]) -> list[list[int]]:
             p = succ[p]
         cycles.append(cycle)
     return cycles
-
-
-def permutation_cycles(b: BraidWord) -> list[tuple[int, ...]]:
-    """Cycles of the underlying permutation, each listed from its smallest
-    strand, ordered by that smallest strand."""
-    return [tuple(cycle) for cycle in _cycles((0,) + underlying_permutation(b))[1:]]
-
-
-def wen_parity(b: BraidWord) -> tuple[int, ...]:
-    """Mod-2 wen count of each closure component (one per permutation cycle)."""
-    perm, counts = _strand_walk(b)
-    return tuple(sum(counts[s - 1] for s in cyc) % 2 for cyc in _cycles((0,) + perm)[1:])
-
-
-def closable(b: BraidWord) -> bool:
-    """Whether every closure component carries an even number of wens."""
-    return all(p == 0 for p in wen_parity(b))
 
 
 # --- the defining relation suite ------------------------------------------

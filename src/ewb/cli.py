@@ -19,6 +19,7 @@ no extra chatter, so output can be fed back in.  Report verbs honour
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -26,13 +27,12 @@ from .braid import (
     BraidWord,
     FormatError,
     ImageCapError,
-    NotClosableError,
     format_word_file,
     parse_word_file,
     verify_relations,
     words_equal,
 )
-from .closure import braid_from_gauss, closure
+from .closure import _NO_BRAIDING, NotClosableError, braid_from_gauss, closure
 from .gauss import (
     GaussData,
     _wen_free_crossings,
@@ -88,6 +88,14 @@ def _load_valid(path: str, parse=parse_gauss_file):
     return data
 
 
+def _load_braidable(path: str) -> GaussData:
+    """``_load_valid`` for ``braid``, which refuses the empty diagram."""
+    g = _load_valid(path)
+    if not (g.crossings or g.loops):
+        raise _InputError(f"{path}: {_NO_BRAIDING}")
+    return g
+
+
 def _checked(check, *args):
     """Run a library precondition; its ``ValueError`` is bad input."""
     try:
@@ -116,16 +124,14 @@ def _emit(text: str, output: str | None) -> None:
 # --- verb handlers ----------------------------------------------------------
 
 
-def _cmd_close(args) -> int:
-    g = closure(_load(args.input, parse_word_file))
-    _emit(format_gauss_file(g), args.output)
-    return 0
+def _artifact(load, op, fmt):
+    """The handler of an artifact verb: ``fmt(op(load(--input)))``, emitted."""
 
+    def handler(args) -> int:
+        _emit(fmt(op(load(args.input))), args.output)
+        return 0
 
-def _cmd_braid(args) -> int:
-    b = braid_from_gauss(_load_valid(args.input))
-    _emit(format_word_file(b), args.output)
-    return 0
+    return handler
 
 
 def _cmd_gauss_validate(args) -> int:
@@ -165,21 +171,6 @@ def _cmd_eq_gauss(args) -> int:
     return 0
 
 
-def _cmd_signrev_word(args) -> int:
-    _emit(format_word_file(sign_reversal_word(_load(args.input, parse_word_file))), args.output)
-    return 0
-
-
-def _cmd_signrev_gauss(args) -> int:
-    _emit(format_gauss_file(sign_reversal(_load(args.input, parse_gauss_file))), args.output)
-    return 0
-
-
-def _cmd_mirror(args) -> int:
-    _emit(format_word_file(mirror_word(_load(args.input, parse_word_file))), args.output)
-    return 0
-
-
 def _cmd_eliminate_wens(args) -> int:
     result = eliminate_wens(_load_valid(args.input))
     _emit(format_gauss_file(result.data), args.output)
@@ -190,11 +181,6 @@ def _cmd_eliminate_wens(args) -> int:
             print(f"slides={len(result.slides)}")
         else:
             print(f"flipped: {flipped or 'none'} ({len(result.slides)} slides)")
-    return 0
-
-
-def _cmd_reduce_kinks(args) -> int:
-    _emit(format_gauss_file(reduce_kinks(_load_valid(args.input))), args.output)
     return 0
 
 
@@ -321,19 +307,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=handler)
         return p
 
-    add("close", _cmd_close, "closure of a braid word as Gauss data", io=True, fmt=False)
-    add("braid", _cmd_braid, "braided word whose closure is the given Gauss data", io=True, fmt=False)
+    # The artifact handlers bind their library calls here, when ``main``
+    # builds the parser, not at import.
+    load_word = functools.partial(_load, parse=parse_word_file)
+    load_gauss = functools.partial(_load, parse=parse_gauss_file)
+    add("close", _artifact(load_word, closure, format_gauss_file),
+        "closure of a braid word as Gauss data", io=True, fmt=False)
+    add("braid", _artifact(_load_braidable, braid_from_gauss, format_word_file),
+        "braided word whose closure is the given Gauss data", io=True, fmt=False)
     p = add("gauss-validate", _cmd_gauss_validate, "check Gauss data validity")
     p.add_argument("--input", required=True, help="Gauss data file")
     add("eq-word", _cmd_eq_word, "test two words for equality in the group",
         pair=(("a", "word file"), ("b", "word file")))
     add("eq-gauss", _cmd_eq_gauss, "test two Gauss data files for isomorphism",
         pair=(("a", "Gauss data file"), ("b", "Gauss data file")))
-    add("signrev-word", _cmd_signrev_word, "sign reversal of a word", io=True, fmt=False)
-    add("signrev-gauss", _cmd_signrev_gauss, "sign reversal of Gauss data", io=True, fmt=False)
-    add("mirror", _cmd_mirror, "mirror image of a word", io=True, fmt=False)
+    add("signrev-word", _artifact(load_word, sign_reversal_word, format_word_file),
+        "sign reversal of a word", io=True, fmt=False)
+    add("signrev-gauss", _artifact(load_gauss, sign_reversal, format_gauss_file),
+        "sign reversal of Gauss data", io=True, fmt=False)
+    add("mirror", _artifact(load_word, mirror_word, format_word_file),
+        "mirror image of a word", io=True, fmt=False)
     add("eliminate-wens", _cmd_eliminate_wens, "slide and cancel all wen marks", io=True)
-    add("reduce-kinks", _cmd_reduce_kinks, "remove unbarred kink crossings", io=True, fmt=False)
+    add("reduce-kinks", _artifact(_load_valid, reduce_kinks, format_gauss_file),
+        "remove unbarred kink crossings", io=True, fmt=False)
     p = add("invariants", _cmd_invariants,
             "component count, linking matrix, and the sign profile (not a Markov invariant)")
     p.add_argument("--input", required=True, help="word or Gauss data file")

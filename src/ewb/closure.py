@@ -7,7 +7,9 @@ leave no trace; ``tau`` letters add wen parity to whichever arc is passing.
 In ``sigma_i`` with exponent +1 the strand entering at position ``i+1``
 rides over (slots 2 -> 4, landing at position ``i``) and the other strand
 dives under (slots 1 -> 3); a -1 exponent swaps the roles.  Permutation
-cycles that meet no crossing close into free loops.
+cycles that meet no crossing close into free loops.  The same walk,
+``closure_trace``, gives the strand data: the underlying permutation, its
+cycles, and the wen parity of each closure component.
 
 ``braid_from_gauss`` inverts the construction up to crossing renaming: one
 positive or negative crossing block per crossing on its own strand pair,
@@ -23,7 +25,6 @@ from .braid import (
     BraidWord,
     ImageCapError,
     Letter,
-    NotClosableError,
     _cycles,
     rho,
     sigma,
@@ -31,6 +32,10 @@ from .braid import (
     tau,
 )
 from .gauss import Arc, Endpoint, GaussData, Passage, _require_valid
+
+
+class NotClosableError(ValueError):
+    """A braid word with odd wen parity on some component cannot be closed."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,30 @@ def closure_trace(b: BraidWord) -> ClosureTrace:
     return ClosureTrace(b, paths, tuple(perm))
 
 
+def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
+    """Position each strand ends at: entry ``s-1`` is the bottom position of
+    the strand starting at top position ``s``."""
+    return closure_trace(b).permutation
+
+
+def permutation_cycles(b: BraidWord) -> list[tuple[int, ...]]:
+    """Cycles of the underlying permutation, each listed from its smallest
+    strand, ordered by that smallest strand."""
+    return [tuple(cycle) for cycle in _cycles((0,) + underlying_permutation(b))[1:]]
+
+
+def wen_parity(b: BraidWord) -> tuple[int, ...]:
+    """Mod-2 wen count of each closure component (one per permutation cycle)."""
+    trace = closure_trace(b)
+    cycles = _cycles((0,) + trace.permutation)[1:]
+    return tuple(sum([sum(trace.paths[s - 1].wens) for s in cycle]) % 2 for cycle in cycles)
+
+
+def closable(b: BraidWord) -> bool:
+    """Whether every closure component carries an even number of wens."""
+    return not any(wen_parity(b))
+
+
 def closure(b: BraidWord) -> GaussData:
     """Gauss data of the closed-up word; requires even wens per component."""
     trace = closure_trace(b)
@@ -124,6 +153,8 @@ def closure(b: BraidWord) -> GaussData:
 # braid to 11.4 million letters in 2.9 s (Python 3.11, shared 2-core machine).
 _MAX_BRAID_LETTERS = 12_000_000
 
+_NO_BRAIDING = "the empty diagram is the closure of no braid word"
+
 
 def braid_from_gauss(g: GaussData) -> BraidWord:
     """A braid word on ``2m + loops`` strands whose closure has data ``g``.
@@ -135,10 +166,14 @@ def braid_from_gauss(g: GaussData) -> BraidWord:
     there.  The cost is linear in the size of the data and of the word,
     which can grow with the square of the crossing count; a word of more
     than ``_MAX_BRAID_LETTERS`` letters raises ``ImageCapError`` before it
-    is built.
+    is built.  Invalid data raise ``ValueError``, and so does the empty
+    diagram (no crossings, no loops): every word has a strand, so its
+    closure has a component.
     """
     ix, _ = _require_valid(g)
     degree = 2 * len(g.crossings) + g.loops
+    if not degree:
+        raise ValueError(_NO_BRAIDING)
     letters: list[Letter] = []
     # entry[p]: position, in the crossing row, of the corner where passage
     # p comes in; it leaves through the corner where p ^ 1 comes in.

@@ -44,6 +44,7 @@ from ewb.braid import (
     ImageCapError,
     _append,
     _code,
+    _cycles,
     _decode,
     _fold,
     _prepend,
@@ -299,6 +300,20 @@ class TestStrandData:
         assert not closable(word(1, tau(1)))
         assert not closable(word(2, tau(1)))
         assert closable(word(2, tau(1), rho(1), tau(1)))
+
+    def test_agrees_with_the_free_group_action(self):
+        # Independent of the strand walk: the image of x_s is conjugate to
+        # x_j^e, where j is the strand's bottom position and e is -1 when it
+        # met an odd number of wens.
+        rng = random.Random(22)
+        for _ in range(1000):
+            w = random_word(rng, rng.randint(1, 5), rng.randint(0, 12))
+            images = to_automorphism(w).images
+            middles = [image.letters[len(image.letters) // 2] for image in images]
+            perm = tuple(abs(m) for m in middles)
+            assert underlying_permutation(w) == perm
+            cycles = _cycles((0,) + perm)[1:]
+            assert wen_parity(w) == tuple(sum([middles[s - 1] < 0 for s in c]) % 2 for c in cycles)
 
 
 class TestRelationSuite:

@@ -93,6 +93,13 @@ class TestBraid:
         code, _, err = run(capsys, "braid", "--input", bad)
         assert code == 2 and "dangling endpoint" in err
 
+    def test_empty_diagram_is_an_error(self, capsys, write):
+        empty = write("empty.gd", "loops 0\n")
+        assert run(capsys, "gauss-validate", "--input", empty) == (0, "valid\n", "")
+        code, out, err = run(capsys, "braid", "--input", empty)
+        assert (code, out) == (2, "")
+        assert err == f"error: {empty}: the empty diagram is the closure of no braid word\n"
+
 
 class TestGaussValidate:
     def test_valid(self, capsys):
@@ -398,12 +405,17 @@ class TestTopLevelErrors:
             ("close", ("--input", "binary.bw"), (), "binary.bw: 'utf-8' codec"),
             ("markov", ("a.bw", "a.bw"), ("--budget", "2000001"), "--budget must be at most 2000000"),
             ("markov", ("a.bw", "a.bw"), ("--budget", "1" + "0" * 29), "--budget must be at most"),
+            ("mirror", ("--input", "bad.gd"), (), "bad.gd: line 1: expected 'strands <n>'"),
+            ("signrev-word", ("--input", "bad.gd"), (), "bad.gd: line 1: expected 'strands <n>'"),
+            ("signrev-gauss", ("--input", "a.bw"), (), "a.bw: line 1: unknown declaration 'strands'"),
+            ("braid", ("--input", "empty.gd"), (), "empty.gd: the empty diagram is the closure"),
         ],
     )
     def test_inputs_are_checked_where_they_enter(self, capsys, tmp_path, verb, files, extra, message):
         (tmp_path / "bad.gd").write_text("crossing c +\nloops 0\n")
         (tmp_path / "a.bw").write_text("strands 2\ns1\n")
         (tmp_path / "seven.gd").write_text("loops 7\n")
+        (tmp_path / "empty.gd").write_text("")
         (tmp_path / "binary.bw").write_bytes(b"\xff\xfe\n")
         argv = [f if f.startswith("-") or f == L1 else str(tmp_path / f) for f in files]
         code, out, err = run(capsys, verb, *argv, *extra)

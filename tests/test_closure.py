@@ -140,6 +140,13 @@ class TestBraiding:
         with pytest.raises(ValueError):
             braid_from_gauss(bad)
 
+    def test_rejects_the_empty_diagram(self):
+        # valid data, but every word has a strand and so a closure component
+        empty = parse_gauss_file("loops 0\n")
+        assert validate(empty) is None
+        with pytest.raises(ValueError, match="^the empty diagram is the closure of no braid word$"):
+            braid_from_gauss(empty)
+
 
 class TestBraidedWordCap:
     """A braided word longer than its cap raises ``ImageCapError`` instead
