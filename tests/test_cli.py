@@ -6,6 +6,7 @@ import pytest
 
 import ewb.braid
 from ewb import closure, format_gauss_file, format_word_file, mirror_word, parse_word, word, sigma
+from conftest import FIXTURES
 from ewb.cli import main
 
 L1 = "fixtures/l1.gd"
@@ -99,6 +100,22 @@ class TestBraid:
         code, out, err = run(capsys, "braid", "--input", empty)
         assert (code, out) == (2, "")
         assert err == f"error: {empty}: the empty diagram is the closure of no braid word\n"
+
+
+class TestL800Fixture:
+    """A seeded 8-strand word of 800 letters (a quarter each positive and
+    negative crossings, wens and welded crossings), its closure and the
+    braiding of that closure, reproduced byte for byte."""
+
+    def test_close(self, capsys):
+        code, out, err = run(capsys, "close", "--input", str(FIXTURES / "l800.bw"))
+        assert (code, err) == (0, "")
+        assert out == (FIXTURES / "l800.gd").read_text()
+
+    def test_braid(self, capsys):
+        code, out, err = run(capsys, "braid", "--input", str(FIXTURES / "l800.gd"))
+        assert (code, err) == (0, "")
+        assert out == (FIXTURES / "l800-braid.bw").read_text()
 
 
 class TestGaussValidate:

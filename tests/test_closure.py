@@ -5,9 +5,11 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import braid_words, random_closable_word
 from ewb import (
+    BraidWord,
     GaussData,
     NotClosableError,
     braid_from_gauss,
@@ -27,6 +29,36 @@ from ewb import (
     word,
 )
 from ewb.braid import ImageCapError
+from ewb.gauss import _require_valid
+from test_gauss import IDS, relabelled, small_diagrams
+
+
+def braid_by_letters(g):
+    """``braid_from_gauss`` with the routing spelled out one welded crossing
+    at a time: the crossing row, then each strand due at position q walked
+    down letter by letter, then the wens."""
+    ix, _ = _require_valid(g)
+    degree = 2 * len(g.crossings) + g.loops
+    letters = []
+    entry = [0] * len(ix.succ)
+    for k, (cid, sign) in enumerate(g.crossings):
+        p, low = 2 * ix.pos[cid], 2 * k + 1
+        letters.append(sigma(low) if sign > 0 else sigma_inv(low))
+        entry[p], entry[p + 1] = (low, low + 1) if sign > 0 else (low + 1, low)
+    inverse = list(range(degree + 1))
+    for p, q in enumerate(ix.succ):
+        inverse[entry[q]] = entry[p ^ 1]
+    occ, where = list(range(degree + 1)), list(range(degree + 1))
+    for q in range(1, degree + 1):
+        strand = inverse[q]
+        for j in range(where[strand], q, -1):
+            occ[j] = occ[j - 1]
+            where[occ[j]] = j
+            letters.append(rho(j - 1))
+        occ[q], where[strand] = strand, q
+    letters.extend(tau(q) for q in sorted(entry[q] for p, q in enumerate(ix.succ) if ix.bar[p]))
+    return BraidWord(degree, tuple(letters))
+
 
 CLOSURE_S1 = """\
 crossing 1 +
@@ -87,6 +119,14 @@ class TestClosure:
         assert len(components(g)) + g.loops == len(permutation_cycles(w))
         assert len(g.crossings) == sum(let.is_sigma for let in w.letters)
 
+    @settings(max_examples=100, deadline=None)
+    @given(braid_words(max_strands=6, max_length=30).filter(closable))
+    def test_is_built_in_canonical_form(self, w):
+        # built directly, it is what the checked, sorting constructor makes
+        g = closure(w)
+        assert g == GaussData.make(g.crossings, g.arcs, g.loops)
+        assert repr(g) == repr(GaussData.make(g.crossings, g.arcs, g.loops))
+
 
 class TestClosureTrace:
     def test_single_crossing_paths(self):
@@ -146,6 +186,17 @@ class TestBraiding:
         assert validate(empty) is None
         with pytest.raises(ValueError, match="^the empty diagram is the closure of no braid word$"):
             braid_from_gauss(empty)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_diagrams(), braid_words(6, 30).filter(closable).map(closure)), st.data())
+    def test_routes_like_the_letter_by_letter_walk(self, g, data):
+        if not g.crossings and not g.loops:
+            return
+        assert braid_from_gauss(g) == braid_by_letters(g)
+        n = len(g.crossings)
+        names = data.draw(st.lists(IDS, unique=True, min_size=n, max_size=n))
+        h = relabelled(g, dict(zip(g.crossing_ids(), names)))
+        assert braid_from_gauss(h) == braid_by_letters(h)
 
 
 class TestBraidedWordCap:

@@ -1,8 +1,10 @@
 """Gauss data: structure, isomorphism, wen slides, kink reduction."""
 
 import itertools
+import pickle
 import random
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,7 @@ from ewb import (
     validate,
     word,
 )
+from ewb.gauss import _CORNERS
 from test_acceptance import _independent_flip_set
 
 L1_ELIMINATED = """\
@@ -115,6 +118,29 @@ def small_diagrams(draw):
     return closure(draw(words.filter(closable)))
 
 
+# One token of letters and digits, as the file format holds crossing ids.
+IDS = st.text(
+    st.characters(categories=("Lu", "Ll", "Lt", "Lm", "Lo", "Nd", "Nl", "No")).filter(str.isalnum),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def gauss_records(draw):
+    """Any record ``GaussData.make`` accepts in which no two arcs join the
+    same two corners (the file format keeps one line per corner pair);
+    most are not valid diagrams."""
+    ids = draw(st.lists(IDS, unique=True, max_size=6))
+    crossings = [(c, draw(st.sampled_from((1, -1)))) for c in ids]
+    ends = []
+    if ids:
+        corner = lambda slots: st.tuples(st.sampled_from(ids), st.sampled_from(slots))
+        ends = draw(st.lists(st.tuples(corner((3, 4)), corner((1, 2))), unique=True, max_size=12))
+    arcs = [Arc(Endpoint(*a), Endpoint(*b), draw(st.integers(0, 1))) for a, b in ends]
+    return GaussData.make(crossings, arcs, draw(st.integers(0, 100000)))
+
+
 def first_bijection(g, h):
     """Brute force: the first isomorphism in permutation order of ``h``'s ids."""
     if len(g.crossings) != len(h.crossings):
@@ -166,14 +192,36 @@ class TestStructure:
         assert shuffled == l1
 
     def test_make_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            GaussData.make([("c1", 2)], [], 0)  # sign must be +-1
-        with pytest.raises(ValueError):
-            GaussData.make([("c1", 1)], [Arc(Endpoint("zz", 3), Endpoint("c1", 1))], 0)
-        with pytest.raises(ValueError):
-            GaussData.make([], [], -1)
-        with pytest.raises(ValueError):
-            Arc(Endpoint("c1", 1), Endpoint("c1", 3))  # slots reversed
+        bad = [
+            lambda: GaussData.make([("c1", 2)], [], 0),  # sign must be +-1
+            lambda: GaussData.make([("c1", 1)], [Arc(Endpoint("zz", 3), Endpoint("c1", 1))], 0),
+            lambda: GaussData.make([], [], -1),
+            lambda: Arc(Endpoint("c1", 1), Endpoint("c1", 3)),  # slots reversed
+            # values the file format cannot hold, though some compare equal
+            # to ones it can: bool and float slots, bars, signs and counts,
+            # and ids that are not one alphanumeric token
+            lambda: Endpoint("1", True),
+            lambda: Endpoint("1", 3.0),
+            lambda: Endpoint("1", 5),
+            lambda: Endpoint("x y", 3),
+            lambda: Endpoint("", 3),
+            lambda: Endpoint("c.1", 3),
+            lambda: Endpoint(1, 3),
+            lambda: Endpoint(["1"], 3),
+            lambda: Arc(Endpoint("1", 3), Endpoint("1", 1), True),
+            lambda: Arc(Endpoint("1", 3), Endpoint("1", 1), 0.0),
+            lambda: GaussData.make([("c1", True)], [], 0),
+            lambda: GaussData.make([("c1", -1.0)], [], 0),
+            lambda: GaussData.make({"x y": 1}, [], 0),
+            lambda: GaussData.make({"": 1}, [], 0),
+            lambda: GaussData.make({7: 1}, [], 0),
+            lambda: GaussData.make([], [], 1.0),
+            lambda: GaussData.make([], [], True),
+        ]
+        for k, build in enumerate(bad):
+            with pytest.raises(ValueError):
+                build()
+                pytest.fail(f"bad input {k} was accepted")
 
     def test_validate_messages(self, l1):
         missing = GaussData.make(l1.crossings, l1.arcs[:-1], 0)
@@ -199,6 +247,17 @@ class TestStructure:
         trefoil = closure(word(2, sigma(1), sigma(1), sigma(1)))
         twice = GaussData(trefoil.crossings + (("1", -1),), trefoil.arcs, 0)
         assert validate(twice) == "duplicate crossing 1"
+        # ids the file format cannot hold, also only without ``GaussData.make``
+        for cid in ("x y", "", "c.1", 7):
+            odd_id = GaussData(trefoil.crossings + ((cid, 1),), trefoil.arcs, 0)
+            assert validate(odd_id) == (
+                f"crossing id must be a nonempty alphanumeric string, got {cid!r}"
+            )
+        # and signs and loop counts the file format would not read back
+        two = GaussData((("1", 1), ("2", 2), ("3", 1)), trefoil.arcs, 0)
+        assert validate(two) == "crossing 2 sign must be +1 or -1, got 2"
+        assert validate(GaussData(trefoil.crossings, trefoil.arcs, -1)) == "loop count must be >= 0, got -1"
+        assert validate(GaussData(trefoil.crossings, trefoil.arcs, True)) == "loop count must be an int, got True"
         same = lambda g: same_gauss_data(g, g)
         for operation in (sign_profile, eliminate_wens, braid_from_gauss, same):
             with pytest.raises(ValueError, match="duplicate crossing 1"):
@@ -253,10 +312,68 @@ class TestFiles:
         )
         assert validate(shared) == "duplicate arc at endpoint c1.3"
 
+    @settings(max_examples=100, deadline=None)
+    @given(gauss_records())
+    def test_format_round_trip(self, g):
+        assert parse_gauss_file(format_gauss_file(g)) == g
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(gauss_records(), small_diagrams()), st.data())
+    def test_shuffled_relabelled_file_parses_to_make(self, g, data):
+        n = len(g.crossings)
+        names = data.draw(st.lists(IDS, unique=True, min_size=n, max_size=n))
+        new = dict(zip(g.crossing_ids(), names))
+        lines = [f"crossing {new[c]} {'+' if s > 0 else '-'}" for c, s in g.crossings]
+        lines += [
+            f"arc {new[a.source.crossing]}.{a.source.slot} {new[a.target.crossing]}.{a.target.slot} {a.bar}"
+            for a in g.arcs
+        ]
+        lines.append(f"loops {g.loops}")
+        text = "\n".join(data.draw(st.permutations(lines))) + "\n"
+        assert parse_gauss_file(text) == relabelled(g, new)
+
     def test_loops_only_file(self):
         g = parse_gauss_file("loops 3\n")
         assert g == GaussData((), (), 3)
         assert validate(g) is None
+
+
+class TestEndpoints:
+    def test_value_semantics(self):
+        end, to = Endpoint("c1", 3), Endpoint("c2", 1)
+        assert end == Endpoint("c1", 3) and hash(end) == hash(Endpoint("c1", 3))
+        assert end != Endpoint("c1", 4) and end != Endpoint("c3", 3) and end != ("c1", 3)
+        assert repr(end) == "Endpoint(crossing='c1', slot=3)"
+        assert str(end) == "c1.3" and end.key() == ((2, "c1"), 3)
+        arc = Arc(end, to, 1)
+        assert arc == Arc(Endpoint("c1", 3), Endpoint("c2", 1), 1) and arc != Arc(end, to)
+        assert {arc: 1}[Arc(Endpoint("c1", 3), Endpoint("c2", 1), 1)] == 1
+        assert repr(arc) == (
+            "Arc(source=Endpoint(crossing='c1', slot=3), target=Endpoint(crossing='c2', slot=1), bar=1)"
+        )
+        assert str(arc) == "c1.3 -> c2.1 barred" and arc.key() == (((2, "c1"), 3), ((2, "c2"), 1), 1)
+        for obj, field in ((end, "slot"), (arc, "bar")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, field, 2)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, field)
+            assert pickle.loads(pickle.dumps(obj)) == obj
+
+    def test_numbered_endpoints_are_shared(self):
+        assert Endpoint("12", 3) is Endpoint("12", 3)
+        assert pickle.loads(pickle.dumps(Endpoint("12", 3))) is Endpoint("12", 3)
+        g = closure(word(2, sigma(1), sigma(1)))
+        assert g.arcs[0].source is Endpoint("1", 3)
+        assert parse_gauss_file(format_gauss_file(g)).arcs[0].source is Endpoint("1", 3)
+
+    def test_other_ids_are_built_afresh(self):
+        kept = len(_CORNERS)
+        # a letter, five digits, and a digit outside ASCII
+        for cid in ("c1", "12345", "\u0661"):
+            end = Endpoint(cid, 3)
+            assert end is not Endpoint(cid, 3)
+            assert end == Endpoint(cid, 3) and hash(end) == hash(Endpoint(cid, 3))
+        assert len(_CORNERS) == kept
 
 
 class TestSignReversal:
