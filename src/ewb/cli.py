@@ -35,7 +35,6 @@ from .braid import (
 from .closure import _NO_BRAIDING, NotClosableError, braid_from_gauss, closure
 from .gauss import (
     GaussData,
-    _wen_free_crossings,
     eliminate_wens,
     format_gauss_file,
     parse_gauss_file,
@@ -46,14 +45,13 @@ from .gauss import (
 )
 from .markov import (
     format_witness,
+    linking_invariant,
     mirror_word,
+    sign_profile,
     sign_reversal_word,
-    _check_cap,
-    _linking_from,
     _parse_replay,
     _search,
     _search_limits,
-    _signs_from,
 )
 
 
@@ -187,10 +185,9 @@ def _cmd_eliminate_wens(args) -> int:
 def _cmd_invariants(args) -> int:
     data = _load_valid(args.input, _parse_word_or_gauss)
     g = closure(data) if isinstance(data, BraidWord) else data
-    mu, crossings = _wen_free_crossings(g)  # shared by both invariants
-    _checked(_check_cap, mu)
-    signs = _signs_from(mu, crossings)
-    linking = _linking_from(mu, crossings)
+    linking = _checked(linking_invariant, g)  # the component cap, before any output
+    signs = sign_profile(g)  # reads the wen-free table the linking matrix was read from
+    mu = len(linking)
     if args.format == "machine":
         print(f"components={mu}")
         print(f"loops={g.loops}")

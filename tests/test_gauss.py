@@ -1,5 +1,6 @@
 """Gauss data: structure, isomorphism, wen slides, kink reduction."""
 
+import dataclasses
 import itertools
 import pickle
 import random
@@ -662,3 +663,102 @@ def test_rewrites_scale_linearly():
     assert len(chain.crossings) == m
     assert reduce_kinks(chain) == GaussData((), (), 1)
     assert time.monotonic() - start < 20.0
+
+
+def _queries(g):
+    """Every public query on ``g``, each as a name and a call."""
+    calls = [
+        ("validate", validate),
+        ("eliminate_wens", eliminate_wens),
+        ("reduce_kinks", reduce_kinks),
+        ("braid_from_gauss", braid_from_gauss),
+        ("same_gauss_data", lambda h: same_gauss_data(h, GaussData(g.crossings, g.arcs, g.loops))),
+        ("components", components),
+        ("component_arcs", lambda h: [component_arcs(h, comp) for comp in components(h)]),
+        ("sign_profile", sign_profile),
+        ("linking_invariant", linking_invariant),
+    ]
+    calls += [(f"full_loop_slide {k}", lambda h, k=k: full_loop_slide(h, k)) for k in range(3)]
+    for arc in [a for a in g.arcs if a.bar][:2]:
+        for way in ("forward", "backward"):
+            calls.append((f"slide_wen {arc} {way}", lambda h, a=arc, w=way: slide_wen(h, a, w)))
+    return calls
+
+
+def _outcome(query, g):
+    try:
+        return "returned", query(g)
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+class TestSharedIndex:
+    """One passage index per diagram, built by its first query and read by
+    every later one, without showing anywhere outside the library."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+
+        class Counting(ewb.gauss._Index):
+            def __init__(self, g):
+                builds.append(g)
+                super().__init__(g)
+
+        monkeypatch.setattr(ewb.gauss, "_Index", Counting)
+        return builds
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(small_diagrams(), gauss_records()), st.randoms(use_true_random=False))
+    def test_queries_in_any_order_match_a_fresh_copy(self, g, rng):
+        # No query writes to the index the others read.
+        queries = _queries(g)
+        rng.shuffle(queries)
+        for name, query in queries:
+            fresh = GaussData(g.crossings, g.arcs, g.loops)
+            assert _outcome(query, g) == _outcome(query, fresh), name
+
+    def test_one_build_serves_every_query(self, monkeypatch, l1):
+        g = GaussData(l1.crossings, l1.arcs, l1.loops)
+        builds = self._count_builds(monkeypatch)
+        for _, query in _queries(g):
+            _outcome(query, g)
+        assert sum(b is g for b in builds) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(small_diagrams(), gauss_records()))
+    def test_the_index_is_invisible(self, g):
+        before = (repr(g), hash(g), pickle.dumps(g))
+        for _, query in _queries(g):
+            _outcome(query, g)
+        assert (repr(g), hash(g), pickle.dumps(g)) == before
+        copy = GaussData(g.crossings, g.arcs, g.loops)
+        assert g == copy and copy == g
+        assert pickle.loads(pickle.dumps(g)).__dict__ == copy.__dict__
+
+    def test_replace_builds_its_own_index(self, monkeypatch, l1):
+        builds = self._count_builds(monkeypatch)
+        assert validate(l1) is None
+        again = dataclasses.replace(l1)
+        assert again == l1 and validate(again) is None
+        assert builds == [l1, again] and builds[1] is again
+
+    def test_list_fields_are_indexed_on_each_call(self, monkeypatch, l1):
+        # A list can change between calls, so nothing is kept for it.
+        g = GaussData(list(l1.crossings), list(l1.arcs), l1.loops)
+        builds = self._count_builds(monkeypatch)
+        assert sign_profile(g) == sign_profile(g) == (-1, -1, 1)
+        assert len(builds) == 2
+        g.crossings[0] = ("c1", -1)
+        assert sign_profile(g) == sign_profile(GaussData(tuple(g.crossings), l1.arcs)) != (-1, -1, 1)
+
+    def test_an_invalid_verdict_is_kept_too(self, monkeypatch):
+        g = closure(word(2, sigma(1), sigma(1)))
+        first = g.arcs[0]
+        odd = GaussData(g.crossings, (Arc(first.source, first.target, 1),) + g.arcs[1:])
+        builds = self._count_builds(monkeypatch)
+        for _ in range(2):
+            assert validate(odd) == "odd wen parity on component 1"
+            with pytest.raises(ValueError, match="odd wen parity"):
+                linking_invariant(odd)
+        assert len(builds) == 1

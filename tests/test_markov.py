@@ -3,6 +3,7 @@
 import json
 import random
 from collections import deque
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,9 @@ from ewb import (
     words_equal,
 )
 from ewb.braid import _INTERNED_INDEX, _fold
-from ewb.markov import _coded, _moves, _search
+from ewb.closure import permutation_cycles
+from ewb.gauss import _wen_free_crossings
+from ewb.markov import _coded, _linking_from, _moves, _search
 
 
 class TestMoves:
@@ -494,6 +497,90 @@ class TestLinking:
     def test_too_many_components(self):
         with pytest.raises(ValueError, match="at most 6 components"):
             linking_invariant(closure(word(7)))
+
+
+def _scan(matrix):
+    """The linking canonical form by brute force: the least tuple of rows
+    ``min(r, -r)`` over all ``mu!`` simultaneous row/column orders."""
+    mu = len(matrix)
+
+    def rows(perm):
+        for i in perm:
+            row = tuple(matrix[i][j] for j in perm)
+            yield min(row, tuple(-x for x in row))
+
+    return min(tuple(rows(perm)) for perm in permutations(range(mu)))
+
+
+@st.composite
+def linking_matrices(draw):
+    """Square matrices with a zero diagonal, up to 6 x 6: random entries,
+    or with rows copied (up to sign) and columns copied, so that twins,
+    symmetric and constant matrices come up often."""
+    mu = draw(st.integers(0, 6))
+    entries = draw(st.sampled_from(((0,), (1,), (-1, 1), (-1, 0, 1), tuple(range(-3, 4)))))
+    m = [[0 if i == j else draw(st.sampled_from(entries)) for j in range(mu)] for i in range(mu)]
+    if mu > 1 and draw(st.booleans()):  # symmetric, or antisymmetric row by row
+        for i in range(mu):
+            for j in range(i):
+                m[i][j] = m[j][i] * draw(st.sampled_from((1, -1)))
+    for _ in range(draw(st.integers(0, 3)) if mu > 2 else 0):  # make b a twin of a
+        a, b = draw(st.permutations(range(mu)))[:2]
+        sign = draw(st.sampled_from((1, -1)))
+        for x in range(mu):
+            if x not in (a, b):
+                m[x][b] = m[x][a]
+                m[b][x] = sign * m[a][x]
+        m[b][a] = sign * m[a][b]
+    return m
+
+
+def _raw_matrix(g):
+    mu, signs, over, under = _wen_free_crossings(g)
+    matrix = [[0] * mu for _ in range(mu)]
+    for sign, i, j in zip(signs, over, under):
+        if i != j:
+            matrix[i][j] += sign
+    return matrix
+
+
+class TestLinkingCanonicalForm:
+    """``_linking_from`` refines an ordered partition instead of trying all
+    ``mu!`` orders; the value must be the brute-force minimum."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(linking_matrices())
+    @example([[0] * 6 for _ in range(6)])
+    @example([[0 if i == j else 2 for j in range(6)] for i in range(6)])
+    @example([[0 if i == j else -1 for j in range(6)] for i in range(6)])
+    @example([[0, 1, 0, 0, 0, 1], [1, 0, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0],
+              [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 1], [1, 0, 0, 0, 1, 0]])  # a necklace
+    def test_equals_the_scan_over_every_order(self, matrix):
+        assert _linking_from(matrix) == _scan(matrix)
+
+    def test_equals_the_scan_on_closures(self):
+        # Closures of the sizes the benchmark runs: balanced closable words
+        # on 8 strands with up to 6 components, and words of 2-4 strands
+        # and at most 8 letters.
+        rng = random.Random(27)
+        seen = set()
+        while len(seen) < 60:
+            w = random_closable_word(rng, 8, rng.randint(20, 120))
+            if len(permutation_cycles(w)) <= 6:
+                seen.add(tuple(map(tuple, _raw_matrix(closure(w)))))
+        for _ in range(300):
+            w = random_closable_word(rng, rng.randint(2, 4), rng.randint(0, 8))
+            seen.add(tuple(map(tuple, _raw_matrix(closure(w)))))
+        assert max(map(len, seen)) == 6
+        for matrix in seen:
+            assert _linking_from([list(row) for row in matrix]) == _scan(matrix), matrix
+
+    def test_all_zero_six_components_take_one_branch(self, monkeypatch):
+        calls = []
+        real = ewb.markov._twins
+        monkeypatch.setattr(ewb.markov, "_twins", lambda m, a, b: calls.append((a, b)) or real(m, a, b))
+        assert _linking_from([[0] * 6 for _ in range(6)]) == ((0,) * 6,) * 6
+        assert len(calls) == 5 + 4 + 3 + 2 + 1  # each later candidate is the first one's twin
 
 
 class TestSignProfile:
