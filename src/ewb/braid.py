@@ -36,6 +36,7 @@ A word's strand data (permutation, cycles, wen parity) live in
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
@@ -81,50 +82,34 @@ class LetterKind(Enum):
     letter closes to: +1 for ``sigma``, -1 for its inverse, 0 for ``rho``
     and ``tau``.  ``reach`` is 1 when the letter exchanges positions ``i``
     and ``i+1``, 0 for the wen; letter ``i`` fits on ``n`` strands when
-    ``i + reach <= n``."""
+    ``i + reach <= n``.  ``code`` numbers the kinds 0-3 in this order, and
+    letter ``i`` is coded as the int ``4 * i + code``."""
 
-    SIGMA_POS = ("s", 1, 1)
-    SIGMA_NEG = ("S", -1, 1)
-    RHO = ("r", 0, 1)
-    TAU = ("t", 0, 0)
+    SIGMA_POS = ("s", 1, 1, 0)
+    SIGMA_NEG = ("S", -1, 1, 1)
+    RHO = ("r", 0, 1, 2)
+    TAU = ("t", 0, 0, 3)
 
-    def __new__(cls, token: str, sign: int, reach: int) -> LetterKind:
+    def __new__(cls, token: str, sign: int, reach: int, code: int) -> LetterKind:
         member = object.__new__(cls)
-        member._value_, member.sign, member.reach = token, sign, reach
+        member._value_, member.sign, member.reach, member.code = token, sign, reach, code
         return member
 
     __hash__ = object.__hash__  # members are singletons; Enum hashes the name
 
 
-class Letter:
-    """One generator letter, with index ``i >= 1``, which carries its file
-    token; letters compare and hash by value and are immutable.  For
-    ``i <= _INTERNED_INDEX``, ``Letter(kind, i)`` returns the one instance
-    built for that pair and keeps it for the life of the process (about
-    300 bytes a letter, at most about 5 MB in all); a larger index builds a
-    new letter each time."""
+class _Value:
+    """Base of the immutable value classes ``Letter``, ``Endpoint`` and
+    ``Arc``.  An instance compares equal only to one of its own class, and
+    compares, hashes, pickles and prints as the tuple of the fields named
+    in ``__match_args__``; assigning or deleting a field raises
+    ``FrozenInstanceError``.  Each subclass declares its slots and a
+    ``__new__`` that checks the fields."""
 
-    __slots__ = ("kind", "index", "_token")
-    __match_args__ = ("kind", "index")
+    __slots__ = ()
 
-    kind: LetterKind
-    index: int
-
-    def __new__(cls, kind: LetterKind, index: int) -> Letter:
-        let = _LETTERS.get((kind, index))
-        if let is None:
-            if index < 1:
-                raise ValueError(f"letter index must be >= 1, got {index}")
-            let = object.__new__(cls)
-            token = f"{kind.value}{index}"
-            for name, value in (("kind", kind), ("index", index), ("_token", token)):
-                object.__setattr__(let, name, value)
-            if index <= _INTERNED_INDEX:
-                _LETTERS[kind, index] = _BY_TOKEN[token] = let
-        return let
-
-    def __reduce__(self) -> tuple:
-        return Letter, (self.kind, self.index)
+    def __init_subclass__(cls) -> None:
+        cls._fields = operator.attrgetter(*cls.__match_args__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -133,15 +118,49 @@ class Letter:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Letter:
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.kind is other.kind and self.index == other.index
+        return self is other or self._fields(self) == self._fields(other)
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.index))
+        return hash(self._fields(self))
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields(self)
 
     def __repr__(self) -> str:
-        return f"Letter(kind={self.kind!r}, index={self.index!r})"
+        shown = ", ".join(map("{}={!r}".format, self.__match_args__, self._fields(self)))
+        return f"{self.__class__.__name__}({shown})"
+
+
+class Letter(_Value):
+    """One generator letter, with index ``i >= 1``, which carries its file
+    token.  The kind must be a ``LetterKind`` and the index an ``int``;
+    anything else raises ``ValueError``.  For ``i <= _INTERNED_INDEX``,
+    ``Letter(kind, i)`` returns the one instance built for that pair and
+    keeps it for the life of the process (about 300 bytes a letter, at most
+    about 5 MB in all); a larger index builds a new letter each time."""
+
+    __slots__ = ("kind", "index", "_token")
+    __match_args__ = ("kind", "index")
+
+    kind: LetterKind
+    index: int
+
+    def __new__(cls, kind: LetterKind, index: int) -> Letter:
+        if kind.__class__ is not LetterKind or index.__class__ is not int:
+            raise ValueError(f"letter needs a LetterKind and an int index, got {kind!r}, {index!r}")
+        let = _LETTERS.get(4 * index + kind.code)
+        if let is None:
+            if index < 1:
+                raise ValueError(f"letter index must be >= 1, got {index}")
+            let = object.__new__(cls)
+            token = f"{kind.value}{index}"
+            for name, value in (("kind", kind), ("index", index), ("_token", token)):
+                object.__setattr__(let, name, value)
+            if index <= _INTERNED_INDEX:
+                _LETTERS[4 * index + kind.code] = _BY_TOKEN[token] = let
+        return let
 
     @property
     def is_sigma(self) -> bool:
@@ -162,10 +181,10 @@ class Letter:
         return self._token
 
 
-# Every letter built so far with an index up to _INTERNED_INDEX, by
-# (kind, index) and by canonical token: at most 4 * _INTERNED_INDEX letters.
+# Every letter built so far with an index up to _INTERNED_INDEX, by code
+# and by canonical token: at most 4 * _INTERNED_INDEX letters.
 _INTERNED_INDEX = 4096
-_LETTERS: dict[tuple[LetterKind, int], Letter] = {}
+_LETTERS: dict[int, Letter] = {}
 _BY_TOKEN: dict[str, Letter] = {}
 
 
@@ -199,6 +218,8 @@ class BraidWord:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.strands.__class__ is not int:
+            raise ValueError(f"strand count must be an int, got {self.strands!r}")
         if self.strands < 1:
             raise ValueError(f"strand count must be >= 1, got {self.strands}")
         for let in self.letters:

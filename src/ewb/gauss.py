@@ -27,10 +27,10 @@ every component reverses every sign.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .braid import FormatError, _count, _cycles
+from .braid import FormatError, _count, _cycles, _Value
 
 # A passage through a crossing, written (crossing id, in slot, out slot).
 # The only two passages of a crossing are (c, 1, 3) and (c, 2, 4).
@@ -45,25 +45,41 @@ def _id_key(cid: str) -> tuple[int, str]:
 # A crossing id must survive the file format: a whole token of letters and
 # digits, which ``parse_gauss_file`` reads back as the same string.
 _ID_OK = str.isalnum
-_BAD_ID = "crossing id must be a nonempty alphanumeric string, got {!r}"
 
 
-class Endpoint:
-    """One corner of a crossing: its id and slot 1..4.  Endpoints compare
-    and hash by value and are immutable.  The id is a ``str`` the Gauss
-    file format can hold (letters and digits) and the slot an ``int``;
-    anything else raises ``ValueError``.
+def _check_id(cid: object) -> None:
+    if cid.__class__ is not str or not _ID_OK(cid):
+        raise ValueError(f"crossing id must be a nonempty alphanumeric string, got {cid!r}")
 
-    ``Endpoint(c, s)`` returns the one instance built for that pair when
-    ``c`` is an ASCII decimal numeral of at most four digits, and keeps the
-    four endpoints of such an id for the life of the process: at most
-    11,110 ids, about 354 bytes each with the table entry and the id string
-    (``tracemalloc``), 3.9 MB in all.  Other ids build a new endpoint each
-    time.  The table pays only when ids repeat within one process:
-    ``closure`` names its crossings 1..m, so from the second closure on
-    every endpoint it needs already exists and an arc costs one new object.
-    A process that builds one diagram, such as one ``ewb`` command, gains
-    nothing from it.
+
+def _check_sign(cid: str, sign: object) -> None:
+    # True and 1.0 compare equal to 1, but the file format cannot hold them
+    if sign.__class__ is not int or sign not in (1, -1):
+        raise ValueError(f"crossing {cid} sign must be +1 or -1, got {sign}")
+
+
+def _check_loops(loops: object) -> None:
+    if loops.__class__ is not int:
+        raise ValueError(f"loop count must be an int, got {loops!r}")
+    if loops < 0:
+        raise ValueError(f"loop count must be >= 0, got {loops}")
+
+
+class Endpoint(_Value):
+    """One corner of a crossing: its id and slot 1..4.  The id is a ``str``
+    the Gauss file format can hold (letters and digits) and the slot an
+    ``int``; anything else raises ``ValueError``.
+
+    ``Endpoint(c, s)`` returns an endpoint from ``_corners(c)``, which
+    keeps the four endpoints of every id that is an ASCII decimal numeral
+    of at most four digits for the life of the process: at most 11,110
+    ids, about 354 bytes each with the table entry and the id string
+    (``tracemalloc``), 3.9 MB in all.  Other ids build their four
+    endpoints afresh on each call.  The table pays only when ids repeat
+    within one process: ``closure`` names its crossings 1..m, so from the
+    second closure on every endpoint it needs already exists and an arc
+    costs one new object.  A process that builds one diagram, such as one
+    ``ewb`` command, gains nothing from it.
     """
 
     __slots__ = ("crossing", "slot")
@@ -73,40 +89,12 @@ class Endpoint:
     slot: int
 
     def __new__(cls, crossing: str, slot: int) -> Endpoint:
-        try:
-            corners = _CORNERS.get(crossing)
-        except TypeError:  # an unhashable id
-            corners = None
-        # True and 1.0 would pass the range test and index like 1
-        if corners is not None and slot.__class__ is int and 1 <= slot <= 4:
-            return corners[slot - 1]
         if slot.__class__ is not int:
             raise ValueError(f"slot must be an int, got {slot!r}")
         if not 1 <= slot <= 4:
             raise ValueError(f"slot must be 1..4, got {slot}")
-        if crossing.__class__ is not str or not _ID_OK(crossing):
-            raise ValueError(_BAD_ID.format(crossing))
-        return _endpoint(crossing, slot)
-
-    def __reduce__(self) -> tuple:
-        return Endpoint, (self.crossing, self.slot)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Endpoint:
-            return NotImplemented
-        return self is other or (self.crossing == other.crossing and self.slot == other.slot)
-
-    def __hash__(self) -> int:
-        return hash((self.crossing, self.slot))
-
-    def __repr__(self) -> str:
-        return f"Endpoint(crossing={self.crossing!r}, slot={self.slot!r})"
+        _check_id(crossing)
+        return _corners(crossing)[slot - 1]
 
     def key(self) -> tuple:
         return (_id_key(self.crossing), self.slot)
@@ -118,45 +106,25 @@ class Endpoint:
 # The endpoints at slots 1..4 of every id met so far that is a decimal
 # numeral of at most four ASCII digits.
 _CORNERS: dict[str, tuple[Endpoint, Endpoint, Endpoint, Endpoint]] = {}
-_new = object.__new__
-_set_crossing, _set_slot = Endpoint.crossing.__set__, Endpoint.slot.__set__
-
-
-def _built(crossing: str, slot: int) -> Endpoint:
-    end = _new(Endpoint)
-    _set_crossing(end, crossing)
-    _set_slot(end, slot)
-    return end
-
-
-def _numbered(crossing: str) -> bool:
-    return len(crossing) <= 4 and crossing.isascii() and crossing.isdigit()
+_new, _keep = object.__new__, object.__setattr__  # past the frozen guards
 
 
 def _corners(crossing: str) -> tuple[Endpoint, Endpoint, Endpoint, Endpoint]:
     """The endpoints at slots 1..4 of an id already checked."""
     corners = _CORNERS.get(crossing)
     if corners is None:
-        corners = tuple([_built(crossing, slot) for slot in (1, 2, 3, 4)])
-        if _numbered(crossing):
+        corners = (_new(Endpoint), _new(Endpoint), _new(Endpoint), _new(Endpoint))
+        for slot, end in enumerate(corners, start=1):
+            _keep(end, "crossing", crossing)
+            _keep(end, "slot", slot)
+        if len(crossing) <= 4 and crossing.isascii() and crossing.isdigit():
             _CORNERS[crossing] = corners
     return corners
 
 
-def _endpoint(crossing: str, slot: int) -> Endpoint:
-    """``Endpoint(crossing, slot)`` for an id and slot already checked."""
-    corners = _CORNERS.get(crossing)
-    if corners is None:
-        if not _numbered(crossing):
-            return _built(crossing, slot)
-        corners = _corners(crossing)
-    return corners[slot - 1]
-
-
-class Arc:
+class Arc(_Value):
     """An arc from an outgoing corner (slot 3 or 4) to an incoming one
-    (slot 1 or 2), with its wen parity ``bar`` (an ``int``, 0 or 1).  Arcs
-    compare and hash by value and are immutable."""
+    (slot 1 or 2), with its wen parity ``bar`` (an ``int``, 0 or 1)."""
 
     __slots__ = ("source", "target", "bar")
     __match_args__ = ("source", "target", "bar")
@@ -165,33 +133,16 @@ class Arc:
     target: Endpoint
     bar: int
 
-    def __init__(self, source: Endpoint, target: Endpoint, bar: int = 0) -> None:
+    def __new__(cls, source: Endpoint, target: Endpoint, bar: int = 0) -> Arc:
+        if source.__class__ is not Endpoint or target.__class__ is not Endpoint:
+            raise ValueError(f"arc ends must be endpoints, got {source!r} and {target!r}")
         if source.slot not in (3, 4):
             raise ValueError(f"arc source must use slot 3 or 4, got {source}")
         if target.slot not in (1, 2):
             raise ValueError(f"arc target must use slot 1 or 2, got {target}")
         if bar.__class__ is not int or bar not in (0, 1):
             raise ValueError(f"bar must be 0 or 1, got {bar}")
-        _set_source(self, source)
-        _set_target(self, target)
-        _set_bar(self, bar)
-
-    def __reduce__(self) -> tuple:
-        return Arc, (self.source, self.target, self.bar)
-
-    __setattr__ = Endpoint.__setattr__
-    __delattr__ = Endpoint.__delattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Arc:
-            return NotImplemented
-        return self.source == other.source and self.target == other.target and self.bar == other.bar
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.bar))
-
-    def __repr__(self) -> str:
-        return f"Arc(source={self.source!r}, target={self.target!r}, bar={self.bar!r})"
+        return _arc(source, target, bar)
 
     def key(self) -> tuple:
         return (self.source.key(), self.target.key(), self.bar)
@@ -216,13 +167,6 @@ def _arc_order(a: Arc) -> tuple:
     """``Arc.key`` flattened into one tuple, which sorts the same way."""
     s, t = a.source, a.target
     return (len(s.crossing), s.crossing, s.slot, len(t.crossing), t.crossing, t.slot, a.bar)
-
-
-def _check_loops(loops: int) -> None:
-    if loops.__class__ is not int:
-        raise ValueError(f"loop count must be an int, got {loops!r}")
-    if loops < 0:
-        raise ValueError(f"loop count must be >= 0, got {loops}")
 
 
 @dataclass(frozen=True)
@@ -259,12 +203,13 @@ class GaussData:
     ) -> GaussData:
         if isinstance(crossings, Mapping):
             crossings = crossings.items()
-        signs = dict(crossings)
-        for cid, sign in signs.items():
-            if cid.__class__ is not str or not _ID_OK(cid):
-                raise ValueError(_BAD_ID.format(cid))
-            if sign.__class__ is not int or sign not in (1, -1):
-                raise ValueError(f"crossing {cid} sign must be +1 or -1, got {sign}")
+        signs: dict[str, int] = {}
+        for cid, sign in crossings:
+            _check_id(cid)
+            _check_sign(cid, sign)
+            if cid in signs:
+                raise ValueError(f"duplicate crossing {cid}")
+            signs[cid] = sign
         arcs = tuple(sorted(set(arcs), key=_arc_order))
         for arc in arcs:
             for end in (arc.source, arc.target):
@@ -315,8 +260,7 @@ class _Index:
             named_ok = False
         if not named_ok:
             for cid in sign:
-                if cid.__class__ is not str or not _ID_OK(cid):
-                    raise ValueError(_BAD_ID.format(cid))
+                _check_id(cid)
         ids = sorted(sign)
         ids.sort(key=len)  # _id_key order, sorted in C
         self.ids = tuple(ids)
@@ -352,9 +296,6 @@ class _Index:
         return (self.ids[p >> 1], 1 + (p & 1), 3 + (p & 1))
 
 
-_keep = object.__setattr__  # past the frozen dataclass's guard
-
-
 def _index_of(g: GaussData) -> _Index:
     """The passage index of ``g``: the one kept on ``g``, or a new one,
     kept when both fields are tuples.  The only place an index is built."""
@@ -387,10 +328,10 @@ def _cycles_of_valid(ix: _Index, loops: int) -> tuple[tuple[int, ...], ...]:
     """The passage cycles of indexed data; raises ``ValueError`` on the
     first broken clause that building the index does not check."""
     signs = ix.signs
-    if signs.count(1) + signs.count(-1) != len(signs):  # values the file writes as +1 or -1
+    # One C-level test for all signs; the message comes from _check_sign.
+    if {*map(type, signs)} - {int} or signs.count(1) + signs.count(-1) != len(signs):
         for cid, sign in zip(ix.ids, signs):
-            if sign not in (1, -1):
-                raise ValueError(f"crossing {cid} sign must be +1 or -1, got {sign}")
+            _check_sign(cid, sign)
     _check_loops(loops)
     cycles, bar = _cycles(ix.succ), ix.bar
     if 1 in bar:
@@ -560,7 +501,7 @@ def slide_wen(g: GaussData, arc: Arc, direction: str) -> GaussData:
     # The bar leaves ``arc`` for ``neighbour``; around a curl they are one
     # arc and the wen returns to it.
     new_arcs = [
-        Arc(a.source, a.target, a.bar ^ 1) if (a == arc) != (a == neighbour) else a
+        _arc(a.source, a.target, a.bar ^ 1) if (a == arc) != (a == neighbour) else a
         for a in g.arcs
     ]
     crossings = tuple((c, -s if flips and c == cid else s) for c, s in g.crossings)
@@ -628,13 +569,13 @@ def eliminate_wens(g: GaussData) -> WenElimination:
     flipped: set[str] = set()
     for p in _slid(ix, cycles):
         a = out[p]
-        slides.append(a if a.bar else Arc(a.source, a.target, 1))
+        slides.append(a if a.bar else _arc(a.source, a.target, 1))
         if succ[p] & 1:
             flipped.add(ids[succ[p] >> 1])
     if not slides:
         return WenElimination(g, frozenset(), ())
     # Sources are unique, so passage order is the canonical arc order.
-    arcs = tuple(Arc(a.source, a.target, 0) if a.bar else a for a in out)
+    arcs = tuple(_arc(a.source, a.target, 0) if a.bar else a for a in out)
     crossings = tuple((c, -s if c in flipped else s) for c, s in g.crossings)
     return WenElimination(GaussData(crossings, arcs, g.loops), frozenset(flipped), tuple(slides))
 
@@ -711,7 +652,7 @@ def reduce_kinks(g: GaussData) -> GaussData:
             continue
         if p in spliced:
             q = succ[p]
-            a = Arc(a.source, Endpoint(ids[q >> 1], 1 + (q & 1)), bar[p])
+            a = _arc(a.source, _corners(ids[q >> 1])[q & 1], bar[p])
         arcs.append(a)
     return GaussData(crossings, tuple(arcs), loops)
 
@@ -728,11 +669,10 @@ def parse_gauss_file(text: str) -> GaussData:
     Every record ``GaussData.make`` would refuse is refused here first, as
     a ``FormatError`` on its line, so the data is built directly: the raw
     arcs are sorted once into field order by a plain tuple comparison and
-    each becomes one ``Arc`` over shared endpoints (see ``Endpoint``).  The
-    cost is linear in the text, plus the sort: about 1.5 ms for
+    each becomes one ``Arc`` over the endpoints of ``_corners``.  The cost
+    is linear in the text, plus the sort: about 1.5 ms for
     ``fixtures/l800.gd`` (400 crossings, 800 arcs) once its endpoints
-    exist, against 4.5 ms when ``make`` sorted and checked the arcs again
-    (Python 3.11, shared 2-core machine).
+    exist (Python 3.11, shared 2-core machine).
     """
     signs: dict[str, int] = {}
     # (len(a), a, slot, len(b), b, slot, bar, line): tuples sort like Arc.key
@@ -784,9 +724,9 @@ def parse_gauss_file(text: str) -> GaussData:
             if cid not in signs:
                 raise FormatError(lineno, f"arc references undeclared crossing {cid}")
     raw_arcs.sort()  # the ends are unique, so the bar and line never decide
-    digit = _DIGIT
+    digit, corners = _DIGIT, {cid: _corners(cid) for cid in signs}
     arcs = tuple(
-        _arc(_endpoint(sc, digit[ss]), _endpoint(tc, digit[ts]), digit[bar])
+        _arc(corners[sc][digit[ss] - 1], corners[tc][digit[ts] - 1], digit[bar])
         for _, sc, ss, _, tc, ts, bar, _ in raw_arcs
     )
     crossings = tuple(sorted(signs.items(), key=lambda it: _id_key(it[0])))

@@ -59,17 +59,16 @@ _STAB_LETTER = {"m2+": sigma, "m2-": sigma_inv, "m2w": rho}
 # The stabilization that appends a letter of each kind, undoing m2d.
 _STAB_MOVE = {make(1).kind: kind for kind, make in _STAB_LETTER.items()}
 
-# The search codes letter ``i`` of kind number ``k`` (s, S, r, t are 0-3)
-# as the int ``4 * i + k``, so its words hash and compare in C.
-_KINDS = tuple(LetterKind)
-_KIND_NUMBER = {kind: k for k, kind in enumerate(_KINDS)}
-# Each stabilization with its letter maker and kind number.
-_STABS = tuple((kind, make, _KIND_NUMBER[make(1).kind]) for kind, make in _STAB_LETTER.items())
+# The search stores each letter as its int code (see ``LetterKind``), so
+# its words hash and compare in C.
+_KINDS = tuple(LetterKind)  # by code
+# Each stabilization with its letter maker and kind code.
+_STABS = tuple((kind, make, make(1).kind.code) for kind, make in _STAB_LETTER.items())
 
 
 def _coded(b: BraidWord) -> tuple[int, tuple[int, ...]]:
     """A word as the search stores it: its degree and its letter codes."""
-    return b.strands, tuple([4 * let.index + _KIND_NUMBER[let.kind] for let in b.letters])
+    return b.strands, tuple([4 * let.index + let.kind.code for let in b.letters])
 
 
 def _letter(code: int) -> Letter:

@@ -1,5 +1,12 @@
 """The public API is part of the compatibility contract: removing or
-renaming a name in ``ewb.__all__`` must be a deliberate change here too."""
+renaming a name in ``ewb.__all__`` must be a deliberate change here too.
+Behind it, the package keeps no private helper that nothing uses."""
+
+import ast
+import io
+import tokenize
+from collections import Counter
+from pathlib import Path
 
 import ewb
 
@@ -29,3 +36,27 @@ def test_public_names_are_frozen():
 def test_every_public_name_resolves():
     for name in ewb.__all__:
         assert getattr(ewb, name) is not None, name
+
+
+def test_no_dead_private_helpers():
+    # Every module-level private name (``_x``, not a dunder) defined in the
+    # package must be read somewhere in it: a NAME token beyond its
+    # definitions.  Tokens skip comments and docstrings.
+    defined, tokens = Counter(), Counter()
+    for path in Path(ewb.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined.update(n for n in names if n.startswith("_") and not n.startswith("__"))
+        tokens.update(
+            tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+            if tok.type == tokenize.NAME
+        )
+    assert defined
+    assert sorted(name for name, k in defined.items() if tokens[name] <= k) == []

@@ -69,6 +69,27 @@ class TestLetters:
         with pytest.raises(ValueError):
             Letter(LetterKind.SIGMA_POS, 0)
 
+    def test_wrong_types_are_refused(self):
+        # values a word file cannot hold, though some compare equal to ones
+        # it can: a bool or float index or strand count, a kind that is not
+        # a LetterKind
+        bad = [
+            lambda: Letter(LetterKind.SIGMA_POS, 2.5),
+            lambda: Letter(LetterKind.SIGMA_POS, True),
+            lambda: Letter("s", 1),
+            lambda: Letter(LetterKind.RHO, "3"),
+            lambda: Letter(LetterKind.TAU, [1]),
+            lambda: BraidWord(2.5, (sigma(1),)),
+            lambda: BraidWord(True, ()),
+        ]
+        for k, build in enumerate(bad):
+            with pytest.raises(ValueError):
+                build()
+                pytest.fail(f"bad input {k} was accepted")
+        # the refused s2.5 left no token behind for the parser to find
+        with pytest.raises(ValueError, match="bad letter token 's2.5'"):
+            parse_word("s2.5", 5)
+
     def test_value_semantics(self):
         let = Letter(kind=LetterKind.SIGMA_POS, index=2)
         assert let == sigma(2) and hash(let) == hash((LetterKind.SIGMA_POS, 2))

@@ -218,6 +218,8 @@ class TestStructure:
             lambda: GaussData.make({7: 1}, [], 0),
             lambda: GaussData.make([], [], 1.0),
             lambda: GaussData.make([], [], True),
+            lambda: Arc(("1", 3), Endpoint("1", 1)),
+            lambda: GaussData.make([("1", 1), ("1", -1)], [Arc(Endpoint("1", 3), Endpoint("1", 1))], 0),
         ]
         for k, build in enumerate(bad):
             with pytest.raises(ValueError):
@@ -244,7 +246,7 @@ class TestStructure:
         # record is built without ``GaussData.make``)
         stray = GaussData(l1.crossings, l1.arcs + (Arc(Endpoint("zz", 3), Endpoint("zz", 1)),), 0)
         assert validate(stray) == "arc endpoint zz.3 references unknown crossing"
-        # a crossing named twice, also only possible without ``GaussData.make``
+        # a crossing named twice, which ``GaussData.make`` refuses as well
         trefoil = closure(word(2, sigma(1), sigma(1), sigma(1)))
         twice = GaussData(trefoil.crossings + (("1", -1),), trefoil.arcs, 0)
         assert validate(twice) == "duplicate crossing 1"
@@ -255,12 +257,14 @@ class TestStructure:
                 f"crossing id must be a nonempty alphanumeric string, got {cid!r}"
             )
         # and signs and loop counts the file format would not read back
-        two = GaussData((("1", 1), ("2", 2), ("3", 1)), trefoil.arcs, 0)
-        assert validate(two) == "crossing 2 sign must be +1 or -1, got 2"
+        for sign in (2, 1.0, True):
+            two = GaussData((("1", 1), ("2", sign), ("3", 1)), trefoil.arcs, 0)
+            assert validate(two) == f"crossing 2 sign must be +1 or -1, got {sign}"
         assert validate(GaussData(trefoil.crossings, trefoil.arcs, -1)) == "loop count must be >= 0, got -1"
         assert validate(GaussData(trefoil.crossings, trefoil.arcs, True)) == "loop count must be an int, got True"
         same = lambda g: same_gauss_data(g, g)
-        for operation in (sign_profile, eliminate_wens, braid_from_gauss, same):
+        make = lambda g: GaussData.make(g.crossings, g.arcs, g.loops)
+        for operation in (sign_profile, eliminate_wens, braid_from_gauss, same, make):
             with pytest.raises(ValueError, match="duplicate crossing 1"):
                 operation(twice)
 
