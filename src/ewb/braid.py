@@ -222,11 +222,14 @@ class BraidWord:
             raise ValueError(f"strand count must be an int, got {self.strands!r}")
         if self.strands < 1:
             raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        for let in self.letters:
-            if let.index + let.kind.reach > self.strands:
-                raise ValueError(
-                    f"letter {let.token()} out of range on {self.strands} strands"
-                )
+        try:
+            for let in self.letters:
+                if let.index + let.kind.reach > self.strands:
+                    raise ValueError(
+                        f"letter {let.token()} out of range on {self.strands} strands"
+                    )
+        except AttributeError:  # a letter that is not a Letter
+            raise ValueError(f"letters must be Letter values, got {let!r}") from None
 
     def __len__(self) -> int:
         return len(self.letters)

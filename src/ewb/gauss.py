@@ -210,7 +210,10 @@ class GaussData:
             if cid in signs:
                 raise ValueError(f"duplicate crossing {cid}")
             signs[cid] = sign
-        arcs = tuple(sorted(set(arcs), key=_arc_order))
+        try:
+            arcs = tuple(sorted(set(arcs), key=_arc_order))
+        except (AttributeError, TypeError) as exc:  # only Arc records sort by _arc_order
+            raise ValueError(f"arcs must be Arc records: {exc}") from None
         for arc in arcs:
             for end in (arc.source, arc.target):
                 if end.crossing not in signs:
@@ -234,9 +237,10 @@ class _Index:
     inverse; ``bar[p]`` and ``out[p]`` are that arc's wen parity and the
     arc itself.  The arrays are tuples, and ``out`` is the data's own arc
     tuple when its arcs are in passage order, as in field order.  Building
-    raises ``ValueError`` on the first crossing named twice or id the file
-    format cannot hold (in field order), duplicate endpoint (in arc order)
-    or dangling endpoint (in crossing order).
+    raises ``ValueError`` on the first crossing record that is not an
+    ``(id, sign)`` pair, crossing named twice or id the file format cannot
+    hold (in field order), arc record that is not an ``Arc``, duplicate
+    endpoint (in arc order) or dangling endpoint (in crossing order).
 
     ``valid`` is None until ``_require_valid`` first checks the data, then
     its passage cycles (a tuple of tuples) or the ``validate`` message; and
@@ -246,7 +250,18 @@ class _Index:
     __slots__ = ("ids", "pos", "signs", "succ", "pred", "bar", "out", "valid", "table")
 
     def __init__(self, g: GaussData) -> None:
-        sign = dict(g.crossings)
+        try:
+            sign = dict(g.crossings)
+        except (TypeError, ValueError):  # a record that is not an (id, sign) pair
+            for record in g.crossings:
+                try:
+                    cid, _ = record
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"crossing record must be an (id, sign) pair, got {record!r}"
+                    ) from None
+                _check_id(cid)
+            raise
         if len(sign) != len(g.crossings):
             named = set()
             for cid, _ in g.crossings:
@@ -268,19 +283,25 @@ class _Index:
         self.signs = tuple([sign[c] for c in ids])
         n = 2 * len(ids)
         succ, pred, bar, out = [-1] * n, [-1] * n, [0] * n, [None] * n
-        for arc in g.arcs:
-            src, tgt = arc.source, arc.target
-            try:
-                s = 2 * pos[src.crossing] + src.slot - 3
-                t = 2 * pos[tgt.crossing] + tgt.slot - 1
-            except KeyError:
-                end = src if src.crossing not in pos else tgt
-                raise ValueError(f"arc endpoint {end} references unknown crossing") from None
-            if succ[s] >= 0:
-                raise ValueError(f"duplicate arc at endpoint {src}")
-            if pred[t] >= 0:
-                raise ValueError(f"duplicate arc at endpoint {tgt}")
-            succ[s], pred[t], bar[s], out[s] = t, s, arc.bar, arc
+        try:
+            for arc in g.arcs:
+                src, tgt = arc.source, arc.target
+                try:
+                    s = 2 * pos[src.crossing] + src.slot - 3
+                    t = 2 * pos[tgt.crossing] + tgt.slot - 1
+                except KeyError:
+                    end = src if src.crossing not in pos else tgt
+                    raise ValueError(f"arc endpoint {end} references unknown crossing") from None
+                if succ[s] >= 0:
+                    raise ValueError(f"duplicate arc at endpoint {src}")
+                if pred[t] >= 0:
+                    raise ValueError(f"duplicate arc at endpoint {tgt}")
+                succ[s], pred[t], bar[s], out[s] = t, s, arc.bar, arc
+        except AttributeError:  # a record that is not an Arc
+            for arc in g.arcs:
+                if arc.__class__ is not Arc:
+                    raise ValueError(f"arc record must be an Arc, got {arc!r}") from None
+            raise
         if -1 in succ or -1 in pred:
             for cid, _ in g.crossings:
                 p = 2 * pos[cid]

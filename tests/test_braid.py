@@ -81,6 +81,8 @@ class TestLetters:
             lambda: Letter(LetterKind.TAU, [1]),
             lambda: BraidWord(2.5, (sigma(1),)),
             lambda: BraidWord(True, ()),
+            lambda: BraidWord(3, ("s1",)),
+            lambda: BraidWord(3, (sigma(1), None)),
         ]
         for k, build in enumerate(bad):
             with pytest.raises(ValueError):

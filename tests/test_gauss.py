@@ -219,6 +219,8 @@ class TestStructure:
             lambda: GaussData.make([], [], 1.0),
             lambda: GaussData.make([], [], True),
             lambda: Arc(("1", 3), Endpoint("1", 1)),
+            lambda: GaussData.make({"1": 1}, [("1", 3)]),
+            lambda: GaussData.make({"1": 1}, [["1", 3]]),
             lambda: GaussData.make([("1", 1), ("1", -1)], [Arc(Endpoint("1", 3), Endpoint("1", 1))], 0),
         ]
         for k, build in enumerate(bad):
@@ -256,6 +258,14 @@ class TestStructure:
             assert validate(odd_id) == (
                 f"crossing id must be a nonempty alphanumeric string, got {cid!r}"
             )
+        # records that are not (id, sign) pairs or not arcs
+        unhashable = GaussData(trefoil.crossings + ((["x"], 1),), trefoil.arcs, 0)
+        assert validate(unhashable) == "crossing id must be a nonempty alphanumeric string, got ['x']"
+        for record in (("9", 1, 2), 5):
+            not_a_pair = GaussData(trefoil.crossings + (record,), trefoil.arcs, 0)
+            assert validate(not_a_pair) == f"crossing record must be an (id, sign) pair, got {record!r}"
+        not_an_arc = GaussData(trefoil.crossings, trefoil.arcs + (("1", 3),), 0)
+        assert validate(not_an_arc) == "arc record must be an Arc, got ('1', 3)"
         # and signs and loop counts the file format would not read back
         for sign in (2, 1.0, True):
             two = GaussData((("1", 1), ("2", sign), ("3", 1)), trefoil.arcs, 0)

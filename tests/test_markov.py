@@ -299,6 +299,33 @@ class TestSearch:
         # the search folds only its two roots; every other key is derived
         assert keyed == [a, b]
 
+    @pytest.mark.parametrize(
+        "a, b, budget, stop",
+        [
+            (("r2 S2 s2 S2", 3), ("r1 t1 s2 t2", 3), 2000, "budget"),
+            (("s2 r2 S1", 3), ("r2 S1 r3 s2 r4 r1 t3 r1 t3", 5), 100_000, "found"),
+        ],
+    )
+    def test_each_state_is_derived_once(self, monkeypatch, a, b, budget, stop):
+        """Within one search no pass runs twice on the same input: a state
+        met again is read from the search's transition table.  The table
+        lives for one search, so a second search makes the same passes and
+        returns the same ``(witness, stop, nodes)``."""
+        inputs = {"_append": [], "_prepend": []}
+        for name, passes in inputs.items():
+            def recorded(images, let, run=getattr(ewb.markov, name), passes=passes):
+                passes.append((images, let))
+                return run(images, let)
+
+            monkeypatch.setattr(ewb.markov, name, recorded)
+        a, b = parse_word(*a), parse_word(*b)
+        results = [_search(a, b, budget=budget) for _ in range(2)]
+        assert results[0] == results[1] and results[0][1] == stop
+        for passes in inputs.values():
+            half = len(passes) // 2
+            assert half and passes[:half] == passes[half:]
+            assert len(set(passes[:half])) == half
+
     def test_a_wrong_witness_is_a_library_fault(self, monkeypatch):
         """The closing check is an explicit RuntimeError, not an assert that
         ``python -O`` strips."""
@@ -363,7 +390,7 @@ class TestDerivedKeys:
                 seen = {(w.strands, r): None for r in between - {letters[k:] + letters[:k]}}
                 derived = [
                     state
-                    for _, kind, shift, state in _moves(here, rotations[0], seen, w.strands, 0)
+                    for _, kind, shift, state in _moves(here, rotations[0], seen, {}, w.strands, 0)
                     if kind == "m1" and shift == k
                 ]
                 assert derived == [rotations[k]]
@@ -373,13 +400,13 @@ class TestDerivedKeys:
     def test_stabilizations_and_destabilization(self, w):
         here, images = _coded(w), _fold(w)
         caps = (w.strands + 1, len(w.letters) + 1)
-        derived = {kind: state for _, kind, _, state in _moves(here, images, {}, *caps) if kind != "m1"}
+        derived = {kind: state for _, kind, _, state in _moves(here, images, {}, {}, *caps) if kind != "m1"}
         for kind in ("m2+", "m2-", "m2w"):
             stabilized = apply_move(w, MarkovMove(kind))
             assert derived[kind] == _fold(stabilized)
             # and back: every stabilized word destabilizes
             there = _coded(stabilized)
-            back = [s for _, k, _, s in _moves(there, derived[kind], {}, *caps) if k == "m2d"]
+            back = [s for _, k, _, s in _moves(there, derived[kind], {}, {}, *caps) if k == "m2d"]
             assert back == [images]
         if destab_applicable(w):
             reduced = apply_move(w, MarkovMove("m2d"))
@@ -396,11 +423,11 @@ class TestDerivedKeys:
         here, images = _coded(w), _fold(w)
         room = data.draw(st.booleans())  # whether the caps admit a stabilization
         caps = (w.strands + room, len(w.letters) + room)
-        every = [move[:3] for move in _moves(here, images, {}, *caps)]
+        every = [move[:3] for move in _moves(here, images, {}, {}, *caps)]
         # a random seen subset, so that the rotations keyed have gaps
         marked = data.draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
         seen = {there: None for (there, _, _), m in zip(every, marked) if m}
-        moves = list(_moves(here, images, seen, *caps))
+        moves = list(_moves(here, images, seen, {}, *caps))
         assert [move[:3] for move in moves] == [move for move in every if move[0] not in seen]
         assert any(kind in ("m2+", "m2-", "m2w") for _, kind, _ in every) == room
         for there, kind, shift, state in moves:
@@ -408,7 +435,7 @@ class TestDerivedKeys:
             assert there == _coded(neighbour)
             assert state == _fold(neighbour)
             if kind != "m1" and kind != "m2d":  # and back: every stabilized word destabilizes
-                back = [move for move in _moves(there, state, {}, *caps) if move[1] == "m2d"]
+                back = [move for move in _moves(there, state, {}, {}, *caps) if move[1] == "m2d"]
                 assert back == [(here, "m2d", 0, images)]
 
 
